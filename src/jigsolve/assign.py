@@ -61,7 +61,7 @@ def min_cost_assignment(costs) -> AssignmentResult:
                 break
             rest = [r for r in remaining if r != c]
             if s + 1 < n:
-                sub = m[np.ix_(range(s + 1, n), rest)]
+                sub = m[s + 1 :, rest]
                 sub_cols, sub_cost = _solve(sub)
                 cand_cost = fixed + m[s, c] + sub_cost
                 cand_completion = [rest[j] for j in sub_cols]

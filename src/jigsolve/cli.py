@@ -87,7 +87,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         weight_init_scale=args.init_scale,
     )
-    solver_opts = SolverOptions(radius=args.radius, use_binary=not args.no_binary)
+    solver_opts = _options(radius=args.radius, use_binary=not args.no_binary)
     result = scorer.train_sgd(corpus, opts, solver_opts)
     scorer.save_model(result.model, args.out)
     log_lines = [
@@ -179,8 +179,15 @@ def _write_report(path, records) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _options(**fields) -> SolverOptions:
+    try:
+        return SolverOptions(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
+    return _options(
         radius=args.radius,
         max_rounds=args.max_rounds,
         use_binary=not args.no_binary,
@@ -212,8 +219,8 @@ def _load_solve_inputs(args):
 
 
 def cmd_solve(args) -> int:
-    model, instances, shape, count = _load_solve_inputs(args)
     opts = _solver_options(args)
+    model, instances, shape, count = _load_solve_inputs(args)
     desc = f"model:{args.model}" if model is not None else (
         f"oracle:eps={args.oracle}"
         + (f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else "")
@@ -253,7 +260,12 @@ def cmd_bench(args) -> int:
         for radius in radii:
             for max_rounds in rounds_list:
                 for use_binary in binary_opts:
-                    opts = SolverOptions(radius=radius, max_rounds=max_rounds, use_binary=use_binary)
+                    opts = _options(
+                        radius=radius,
+                        max_rounds=max_rounds,
+                        use_binary=use_binary,
+                        candidate_cap=args.candidate_cap,
+                    )
                     args.oracle = eps
                     t0 = time.perf_counter()
                     records, curves = _run_batch(

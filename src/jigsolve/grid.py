@@ -1,4 +1,4 @@
-"""Grid geometry, permutation algebra, and Hamming-ball enumeration.
+"""Grid geometry, permutation algebra, and the cached Hamming-ball table.
 
 A puzzle configuration is a permutation over slot indices: ``assign[s]`` is
 the original-position ID of the patch currently sitting in slot ``s``.  The
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -217,13 +216,6 @@ def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(n).astype(np.int64)
 
 
-def _derangements(k: int) -> Iterator[tuple[int, ...]]:
-    # Lexicographic enumeration of fixed-point-free permutations of range(k).
-    for p in itertools.permutations(range(k)):
-        if all(p[i] != i for i in range(k)):
-            yield p
-
-
 @lru_cache(maxsize=64)
 def derangement_number(k: int) -> int:
     """D_k, the number of permutations of k elements with no fixed point."""
@@ -244,25 +236,44 @@ def hamming_ball_size(n: int, radius: int) -> int:
     return total
 
 
-def enumerate_hamming_ball(center, radius: int) -> Iterator[np.ndarray]:
-    """Yield every permutation within Hamming distance ``radius`` of ``center``.
+@lru_cache(maxsize=16)
+def _ball_table(n: int, radius: int) -> np.ndarray:
+    # The read-only (|B|, n) ball around the identity, in the order documented
+    # on enumerate_hamming_ball.  center[table] is the ball around center in
+    # the same order: row i moves center's values between exactly the slots
+    # that row i of the table moves, by the same derangement.
+    blocks = [np.arange(n, dtype=np.intp)[None, :]]
+    for k in range(2, radius + 1):
+        ders = np.array(
+            [p for p in itertools.permutations(range(k)) if all(p[i] != i for i in range(k))],
+            dtype=np.intp,
+        )
+        subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+        block = np.tile(np.arange(n, dtype=np.intp), (len(subsets), len(ders), 1))
+        rows = np.arange(len(subsets))[:, None, None]
+        cols = np.arange(len(ders))[None, :, None]
+        block[rows, cols, subsets[:, None, :]] = subsets[:, ders]
+        blocks.append(block.reshape(-1, n))
+    table = np.concatenate(blocks)
+    table.setflags(write=False)
+    return table
 
-    The center comes first; the rest follow by increasing distance k, with
-    the k disturbed slot subsets in lexicographic order and, within a subset,
-    the derangements of the center's values in lexicographic order.
+
+def enumerate_hamming_ball(center, radius: int) -> np.ndarray:
+    """Every permutation within Hamming distance ``radius`` of ``center``.
+
+    Returns a fresh ``(|B|, n)`` int64 array, one member per row.  The center
+    comes first; the rest follow by increasing distance k, with the k
+    disturbed slot subsets in lexicographic order and, within a subset, the
+    derangements of the center's values in lexicographic order.  The ball
+    around the identity is built once per ``(n, radius)`` and cached, so each
+    call is a single gather ``center[table]``.
     """
     c = as_permutation(center)
     n = c.size
     if not 0 <= radius <= n:
         raise ValueError(f"radius must be in [0, {n}], got {radius}")
-    yield c.copy()
-    for k in range(2, radius + 1):
-        for slots in itertools.combinations(range(n), k):
-            vals = c[list(slots)]
-            for der in _derangements(k):
-                out = c.copy()
-                out[list(slots)] = vals[list(der)]
-                yield out
+    return c[_ball_table(n, radius)]
 
 
 @lru_cache(maxsize=4)

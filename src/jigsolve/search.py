@@ -10,7 +10,7 @@ a round cap is reached.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Protocol, TYPE_CHECKING
@@ -26,6 +26,7 @@ from .grid import (
     as_permutation,
     enumerate_hamming_ball,
     hamming,
+    hamming_ball_size,
     is_identity,
     relation_table,
 )
@@ -93,10 +94,15 @@ def _candidate_array(center: np.ndarray, radius: int, cap: Optional[int]) -> np.
     n = center.size
     if radius >= n and n <= BRUTE_FORCE_MAX_N and cap is None:
         return all_permutations(n)
-    gen = enumerate_hamming_ball(center, min(radius, n))
-    if cap is not None:
-        gen = itertools.islice(gen, cap)
-    return np.array(list(gen), dtype=np.int64)
+    radius = min(radius, n)
+    if cap is None:
+        return enumerate_hamming_ball(center, radius)
+    # A smaller ball is a prefix of a larger one, so the first `cap` members
+    # come from the smallest radius whose ball holds them; a large radius
+    # with a small cap then never builds the whole table.
+    while radius > 0 and hamming_ball_size(n, radius - 1) >= cap:
+        radius -= 1
+    return enumerate_hamming_ball(center, radius)[:cap]
 
 
 @lru_cache(maxsize=1)
@@ -129,7 +135,12 @@ def _batch_costs(U, V, shape: GridShape, cands: np.ndarray) -> np.ndarray:
         # unchanged, so results stay bit-identical to the scalar path.
         paircost = logv[p[:, None], q[:, None], rel.ravel()[None, :]]
         pc_flat = np.ascontiguousarray(paircost).ravel()
-        cached = n <= BRUTE_FORCE_MAX_N and cands is all_permutations(n)
+        # The length test comes first so that a ball never materializes S_n.
+        cached = (
+            n <= BRUTE_FORCE_MAX_N
+            and len(cands) == math.factorial(n)
+            and cands is all_permutations(n)
+        )
         flat_all = _full_sweep_flat(shape) if cached else None
         koff = (np.arange(len(p), dtype=np.intp) * n * n)[None, :]
         for lo in range(0, len(idx), _CHUNK):

@@ -165,6 +165,15 @@ class TestSolve:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("flag", [["--radius", "-1"], ["--max-rounds", "0"],
+                                      ["--candidate-cap", "0"]])
+    def test_bad_ball_knob_is_usage_error(self, flag, tmp_path, capsys):
+        code = main(["solve", "--grid", "3x3", "--count", "2", "--oracle", "0.5",
+                     "--report", str(tmp_path / "r.jsonl")] + flag)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
     def test_env_thread_fallback(self, monkeypatch):
         monkeypatch.setenv("JIGSOLVE_THREADS", "6")
         args = build_parser().parse_args(["solve", "--grid", "2x2",
@@ -191,6 +200,27 @@ class TestBench:
               "--report", str(report)])
         _, aggs = read_report(report)
         assert len(aggs) == 2 * 2 * 2
+
+    def test_candidate_cap_is_applied(self, tmp_path):
+        common = ["--grid", "3x3", "--count", "20", "--seed", "3", "--oracle-binary", "0.1"]
+        sweep = ["--noise", "0.6", "--rounds", "3", "--binary", "on"]
+        reports = {}
+        for name, argv in {
+            "capped": ["bench"] + common + sweep + ["--candidate-cap", "1"],
+            "uncapped": ["bench"] + common + sweep,
+            "solve": ["solve"] + common + ["--oracle", "0.6", "--max-rounds", "3",
+                                           "--candidate-cap", "1"],
+        }.items():
+            report = tmp_path / f"{name}.jsonl"
+            assert main(argv + ["--report", str(report)]) == EXIT_OK
+            reports[name] = read_report(report)[1]
+        assert reports["capped"] == reports["solve"]
+        assert reports["capped"] != reports["uncapped"]
+
+    def test_bad_ball_knob_is_usage_error(self, tmp_path):
+        code = main(["bench", "--grid", "3x3", "--radii", "3,-1", "--report",
+                     str(tmp_path / "b.jsonl")])
+        assert code == EXIT_USAGE
 
     def test_empty_sweep_is_usage_error(self, tmp_path):
         code = main(["bench", "--grid", "3x3", "--noise", "", "--report",

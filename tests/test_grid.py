@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from jigsolve import grid, search
+from jigsolve.cost import row_softmax
 from jigsolve.grid import (
     GridShape,
     RelClass,
@@ -25,6 +27,20 @@ from jigsolve.grid import (
 
 S3 = GridShape((3, 3))
 S333 = GridShape((3, 3, 3))
+
+
+def reference_ball(center, radius):
+    """The nested-loop enumeration the cached table must reproduce row for row."""
+    c = np.asarray(center, dtype=np.int64)
+    yield c.copy()
+    for k in range(2, radius + 1):
+        for slots in itertools.combinations(range(c.size), k):
+            vals = c[list(slots)]
+            for der in itertools.permutations(range(k)):
+                if all(der[i] != i for i in range(k)):
+                    out = c.copy()
+                    out[list(slots)] = vals[list(der)]
+                    yield out
 
 
 class TestGridShape:
@@ -273,6 +289,76 @@ class TestHammingBall:
             list(enumerate_hamming_ball(np.arange(3), 4))
         with pytest.raises(ValueError):
             list(enumerate_hamming_ball(np.arange(3), -1))
+
+    def test_order_matches_reference_loop(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 8):
+            for radius in range(n + 1):
+                center = random_permutation(n, rng)
+                got = enumerate_hamming_ball(center, radius)
+                want = np.array(list(reference_ball(center, radius)))
+                assert got.shape == want.shape == (hamming_ball_size(n, radius), n)
+                assert got.dtype == np.int64
+                assert (got == want).all(), (n, radius)
+
+    def test_cached_table_is_read_only(self):
+        table = grid._ball_table(9, 3)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_result_is_a_fresh_array(self):
+        center = np.array([2, 0, 1, 3, 4])
+        first = enumerate_hamming_ball(center, 3)
+        assert first.flags.writeable
+        assert not np.shares_memory(first, grid._ball_table(5, 3))
+        first[:] = -1
+        second = enumerate_hamming_ball(center, 3)
+        assert (second == np.array(list(reference_ball(center, 3)))).all()
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Every candidate array that refinement passes to the cost kernel."""
+    seen = []
+    real = search._batch_costs
+
+    def spy(U, V, shape, cands):
+        seen.append(np.array(cands))
+        return real(U, V, shape, cands)
+
+    monkeypatch.setattr(search, "_batch_costs", spy)
+    return seen
+
+
+def random_tables(n, rng):
+    U = row_softmax(rng.standard_normal((n, n)))
+    V = row_softmax(rng.standard_normal((n * n, 9))).reshape(n, n, 9)
+    return U, V
+
+
+class TestCappedRefinement:
+    def test_scans_the_first_cap_reference_candidates(self, scanned):
+        rng = np.random.default_rng(31)
+        U, V = random_tables(9, rng)
+        seed = random_permutation(9, rng)
+        for cap in (1, 2, 36, 37, 100, 205, 500):
+            scanned.clear()
+            search.refine_with_binary(U, V, seed, S3, 3, candidate_cap=cap)
+            (cands,) = scanned
+            want = np.array(list(itertools.islice(reference_ball(seed, 3), cap)))
+            assert (cands == want).all(), cap
+
+    def test_large_radius_with_small_cap(self, scanned):
+        # The radius-16 ball on 16 slots holds 16! rows; a cap of 50 is met
+        # by the radius-2 prefix, so only that much is built.
+        rng = np.random.default_rng(37)
+        U, V = random_tables(16, rng)
+        seed = random_permutation(16, rng)
+        search.refine_with_binary(U, V, seed, GridShape((4, 4)), 16, candidate_cap=50)
+        (cands,) = scanned
+        want = np.array(list(itertools.islice(reference_ball(seed, 16), 50)))
+        assert (cands == want).all()
 
 
 class TestDerangements:

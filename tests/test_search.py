@@ -7,7 +7,7 @@ import pytest
 
 from jigsolve.assign import unary_argmin
 from jigsolve.cost import row_softmax, softmax9, total_cost
-from jigsolve.grid import GridShape, hamming, random_permutation
+from jigsolve.grid import GridShape, all_permutations, hamming, random_permutation
 from jigsolve.puzzlegen import PuzzleInstance
 from jigsolve.scorer import OracleScorer, oracle_score
 from jigsolve.search import (
@@ -82,6 +82,13 @@ class TestRefineWithBinary:
                     total_cost(U, V, got, S3).total
                     <= total_cost(U, V, seed, S3).total + 1e-12
                 )
+
+    def test_ball_refinement_never_builds_s_n(self):
+        rng = np.random.default_rng(29)
+        U, V = random_tables(9, rng)
+        all_permutations.cache_clear()
+        refine_with_binary(U, V, unary_argmin(U).config, S3, 3)
+        assert all_permutations.cache_info().misses == 0
 
     def test_rejects_3d(self):
         V = np.full((8, 8, 9), 1 / 9)
