@@ -36,6 +36,14 @@ class UsageError(Exception):
     """Bad flag values detected after argparse (e.g. empty sweep lists)."""
 
 
+def _options(make, *args, **fields):
+    """``make(*args, **fields)`` for values from flags; a bad value is a usage error."""
+    try:
+        return make(*args, **fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _default_threads() -> int:
     env = os.environ.get("JIGSOLVE_THREADS")
     if env:
@@ -53,8 +61,10 @@ def _synth_kind(flag: str) -> str:
     return kind
 
 
-def _gen_options(args) -> GenOptions:
-    return GenOptions(
+def cmd_gen(args) -> int:
+    shape = _options(GridShape.parse, args.grid)
+    opts = _options(
+        GenOptions,
         cell=args.cell,
         crop=args.crop,
         jitter=not args.no_jitter,
@@ -63,23 +73,16 @@ def _gen_options(args) -> GenOptions:
         mean_scope=args.mean_scope,
         scramble=not args.no_scramble,
     )
-
-
-def cmd_gen(args) -> int:
-    shape = GridShape.parse(args.grid)
     kind = _synth_kind(args.volume_kind if shape.is_3d and args.volume_kind else args.kind)
-    instances = puzzlegen.generate_corpus(kind, shape, args.count, args.seed, _gen_options(args))
+    instances = puzzlegen.generate_corpus(kind, shape, args.count, args.seed, opts)
     puzzlegen.save_corpus(args.out, instances)
     print(f"wrote {len(instances)} instances to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    corpus = puzzlegen.load_corpus(args.corpus)
-    shape = corpus[0].shape
-    if args.grid and GridShape.parse(args.grid) != shape:
-        raise FormatError(f"corpus grid {shape} does not match --grid {args.grid}")
-    opts = TrainOptions(
+    opts = _options(
+        TrainOptions,
         learning_rate=args.lr,
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -87,7 +90,11 @@ def cmd_train(args) -> int:
         seed=args.seed,
         weight_init_scale=args.init_scale,
     )
-    solver_opts = _options(radius=args.radius, use_binary=not args.no_binary)
+    solver_opts = _options(SolverOptions, radius=args.radius, use_binary=not args.no_binary)
+    corpus = puzzlegen.load_corpus(args.corpus)
+    shape = corpus[0].shape
+    if args.grid and _options(GridShape.parse, args.grid) != shape:
+        raise FormatError(f"corpus grid {shape} does not match --grid {args.grid}")
     result = scorer.train_sgd(corpus, opts, solver_opts)
     scorer.save_model(result.model, args.out)
     log_lines = [
@@ -102,22 +109,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _make_provider(args, index: int, rng: np.random.Generator, model):
+def _make_provider(args, rng: np.random.Generator, model, eps):
     if model is not None:
         return model
     return OracleScorer(
-        noise=args.oracle,
+        noise=eps,
         rng=rng,
         binary_noise=args.oracle_binary,
         jitter=args.oracle_jitter,
     )
 
 
-def _solve_one(args, index, instance, shape, opts, model, seed):
-    rng = np.random.default_rng([seed, index])
+def _solve_one(args, index, instance, shape, opts, model, eps):
+    rng = np.random.default_rng([args.seed, index])
     if instance is None:
         instance = PuzzleInstance.scrambled(shape, rng)
-    provider = _make_provider(args, index, rng, model)
+    provider = _make_provider(args, rng, model, eps)
     trace = search.solve_iterative(provider, instance, opts)
     final_ham = grid.hamming(trace.final_truth, np.arange(shape.n))
     per_round = []
@@ -137,12 +144,12 @@ def _solve_one(args, index, instance, shape, opts, model, seed):
     }, per_round
 
 
-def _run_batch(args, shape, instances, count, opts, model, seed, threads):
+def _run_batch(args, shape, instances, count, opts, model, eps):
     def work(i):
-        return _solve_one(args, i, instances[i] if instances else None, shape, opts, model, seed)
+        return _solve_one(args, i, instances[i] if instances else None, shape, opts, model, eps)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(work, range(count)))
     else:
         results = [work(i) for i in range(count)]
@@ -179,22 +186,6 @@ def _write_report(path, records) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _options(**fields) -> SolverOptions:
-    try:
-        return SolverOptions(**fields)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _solver_options(args) -> SolverOptions:
-    return _options(
-        radius=args.radius,
-        max_rounds=args.max_rounds,
-        use_binary=not args.no_binary,
-        candidate_cap=args.candidate_cap,
-    )
-
-
 def _load_solve_inputs(args):
     model = None
     if args.model:
@@ -211,7 +202,7 @@ def _load_solve_inputs(args):
         if not args.grid:
             raise FormatError("need --corpus or --grid")
         instances = None
-        shape = GridShape.parse(args.grid)
+        shape = _options(GridShape.parse, args.grid)
         count = args.count if args.count is not None else 100
     if model is not None and model.shape != shape:
         raise FormatError(f"model grid {model.shape} does not match corpus grid {shape}")
@@ -219,14 +210,20 @@ def _load_solve_inputs(args):
 
 
 def cmd_solve(args) -> int:
-    opts = _solver_options(args)
+    opts = _options(
+        SolverOptions,
+        radius=args.radius,
+        max_rounds=args.max_rounds,
+        use_binary=not args.no_binary,
+        candidate_cap=args.candidate_cap,
+    )
     model, instances, shape, count = _load_solve_inputs(args)
     desc = f"model:{args.model}" if model is not None else (
         f"oracle:eps={args.oracle}"
         + (f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else "")
     )
     t0 = time.perf_counter()
-    records, curves = _run_batch(args, shape, instances, count, opts, model, args.seed, args.threads)
+    records, curves = _run_batch(args, shape, instances, count, opts, model, args.oracle)
     wall = time.perf_counter() - t0
     agg = _aggregate(records, curves, shape, args.seed, desc, opts, count)
     _write_report(args.report, records + [agg])
@@ -249,7 +246,7 @@ def _parse_list(text, conv):
 
 
 def cmd_bench(args) -> int:
-    shape = GridShape.parse(args.grid)
+    shape = _options(GridShape.parse, args.grid)
     radii = _parse_list(args.radii, int)
     rounds_list = _parse_list(args.rounds, int)
     noises = _parse_list(args.noise, float)
@@ -261,16 +258,14 @@ def cmd_bench(args) -> int:
             for max_rounds in rounds_list:
                 for use_binary in binary_opts:
                     opts = _options(
+                        SolverOptions,
                         radius=radius,
                         max_rounds=max_rounds,
                         use_binary=use_binary,
                         candidate_cap=args.candidate_cap,
                     )
-                    args.oracle = eps
                     t0 = time.perf_counter()
-                    records, curves = _run_batch(
-                        args, shape, None, args.count, opts, None, args.seed, args.threads
-                    )
+                    records, curves = _run_batch(args, shape, None, args.count, opts, None, eps)
                     wall = time.perf_counter() - t0
                     desc = f"oracle:eps={eps}" + (
                         f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else ""

@@ -23,8 +23,8 @@ ROW_SUM_TOL = 1e-9
 
 
 def neg_log(p: np.ndarray) -> np.ndarray:
-    """Elementwise ``-ln max(p, PROB_FLOOR)``."""
-    return -np.log(np.maximum(p, PROB_FLOOR))
+    """Elementwise ``-ln max(p, PROB_FLOOR)``, in float64."""
+    return -np.log(np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR))
 
 
 def row_softmax(logits) -> np.ndarray:
@@ -58,7 +58,7 @@ def validate_unary(U, n: int | None = None) -> np.ndarray:
         raise ValueError("unary matrix must be finite")
     if (arr < 0).any() or (arr > 1 + ROW_SUM_TOL).any():
         raise ValueError("unary entries must lie in [0, 1]")
-    if not np.allclose(arr.sum(axis=1), 1.0, atol=ROW_SUM_TOL, rtol=0):
+    if not (np.abs(arr.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
         raise ValueError("every unary row must sum to 1")
     return arr
 
@@ -78,7 +78,7 @@ def validate_binary(V, n: int | None = None) -> np.ndarray:
     m = arr.shape[0]
     off = ~np.eye(m, dtype=bool)
     sums = arr.sum(axis=2)[off]
-    if (arr[off] < 0).any() or not np.allclose(sums, 1.0, atol=ROW_SUM_TOL, rtol=0):
+    if (arr[off] < 0).any() or not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():
         raise ValueError("every off-diagonal 9-vector must be a distribution")
     return arr
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import GridShape, id_to_position, random_permutation, reorganize
+from .grid import GridShape, as_permutation, id_to_position, random_permutation, reorganize
 
 RTEN_MAGIC = b"RTEN"
 RTEN_VERSION = 1
@@ -580,31 +580,34 @@ def _parse_manifest(text: str, path: str) -> PuzzleMeta:
         kv[key] = val
     if kv.get("format") != "jigsolve-corpus-v1":
         raise FormatError(f"{path}: unknown manifest format {kv.get('format')!r}")
-    grid = tuple(int(v) for v in kv["grid"].split("x"))
-    opts = GenOptions(
-        cell=int(kv["cell"]),
-        crop=int(kv["crop"]),
-        jitter=bool(int(kv["jitter"])),
-        mirror_p=float(kv["mirror_p"]),
-        mean_subtract=bool(int(kv["mean_subtract"])),
-        mean_scope=kv["mean_scope"],
-        scramble=bool(int(kv["scramble"])),
-    )
-    offsets = np.array(
-        [[int(v) for v in row.split(":")] for row in kv["offsets"].split(";")], dtype=np.int64
-    )
-    mirror = np.array([bool(int(v)) for v in kv["mirror"].split(",")], dtype=bool)
-    truth = np.array([int(v) for v in kv["truth"].split(",")], dtype=np.int64)
-    source = {}
-    for key, val in kv.items():
-        if key.startswith("source_"):
-            name = key[len("source_") :]
-            source[name] = int(val) if name in ("size", "seed") else val
-    region = tuple(int(v) for v in kv["region_offset"].split(",")) if "region_offset" in kv else ()
-    return PuzzleMeta(
-        source=source, grid=grid, opts=opts, offsets=offsets, mirror=mirror, truth=truth,
-        region_offset=region,
-    )
+    try:
+        grid = tuple(int(v) for v in kv["grid"].split("x"))
+        opts = GenOptions(
+            cell=int(kv["cell"]),
+            crop=int(kv["crop"]),
+            jitter=bool(int(kv["jitter"])),
+            mirror_p=float(kv["mirror_p"]),
+            mean_subtract=bool(int(kv["mean_subtract"])),
+            mean_scope=kv["mean_scope"],
+            scramble=bool(int(kv["scramble"])),
+        )
+        offsets = np.array(
+            [[int(v) for v in row.split(":")] for row in kv["offsets"].split(";")], dtype=np.int64
+        )
+        mirror = np.array([bool(int(v)) for v in kv["mirror"].split(",")], dtype=bool)
+        truth = as_permutation([int(v) for v in kv["truth"].split(",")], GridShape(grid).n)
+        source = {}
+        for key, val in kv.items():
+            if key.startswith("source_"):
+                name = key[len("source_") :]
+                source[name] = int(val) if name in ("size", "seed") else val
+        region = tuple(map(int, kv["region_offset"].split(","))) if "region_offset" in kv else ()
+        return PuzzleMeta(
+            source=source, grid=grid, opts=opts, offsets=offsets, mirror=mirror, truth=truth,
+            region_offset=region,
+        )
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: bad manifest: {exc!r}") from None
 
 
 def save_corpus(root, instances: list[PuzzleInstance]) -> None:

@@ -1,25 +1,25 @@
 """Full configuration predictor and the iterative reorganization loop.
 
-Prediction seeds from the Hungarian solution of the unary terms, then (in 2D,
-when binary scores are available) refines by exhaustively scoring every
-permutation within a limited Hamming distance of the seed.  At test time the
-prediction is applied physically -- patches are moved to their predicted
-slots -- and the process repeats until the predictor proposes the identity or
-a round cap is reached.
+A round validates and takes ``-ln`` of each table once, seeds from the
+Hungarian solution of the unary terms, and ranks every permutation within a
+limited Hamming distance of the seed (radius 0 unless 2D binary terms apply)
+with one cost kernel, whose parts at the winner are the round's cost.  The
+prediction is then applied physically -- patches move to their predicted
+slots -- until the predictor proposes the identity or a round cap is reached.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Protocol, TYPE_CHECKING
 
 import numpy as np
 
 from . import cost as _cost
-from .assign import unary_argmin
-from .cost import CostBreakdown, neg_log, total_cost, validate_binary, validate_unary
+from .assign import min_cost_assignment
+from .cost import CostBreakdown, neg_log, validate_binary, validate_unary
 from .grid import (
     GridShape,
     all_permutations,
@@ -119,20 +119,22 @@ def _full_sweep_flat(shape: GridShape) -> np.ndarray:
     return flat
 
 
-def _batch_costs(U, V, shape: GridShape, cands: np.ndarray) -> np.ndarray:
-    """Total cost of each candidate row; bit-identical to the scalar path."""
+def _batch_costs(logu, logv, shape: GridShape, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unary and binary cost parts of each candidate row, from ``-ln`` tables.
+
+    All rows of one call are summed the same way, so they rank consistently;
+    a total may differ from the scalar ``total_cost`` in the last bits.
+    """
     n = shape.n
-    logu = neg_log(np.asarray(U, dtype=np.float64))
     idx = cands.astype(np.intp)
-    totals = logu[np.arange(n), idx].sum(axis=1)
-    if V is not None:
-        logv = neg_log(np.asarray(V, dtype=np.float64))
+    unary = logu[np.arange(n), idx].sum(axis=1)
+    binary = np.zeros(len(idx))
+    if logv is not None:
         rel = relation_table(shape)
         p, q = _cost._pair_indices(n)
         # One flattened lookup table per ordered pair: entry (k, a*n + b) is
         # the pair-k cost of original IDs (a, b).  A single gather per chunk
-        # then replaces the per-pair class lookup; the pair summation order is
-        # unchanged, so results stay bit-identical to the scalar path.
+        # then replaces the per-pair class lookup.
         paircost = logv[p[:, None], q[:, None], rel.ravel()[None, :]]
         pc_flat = np.ascontiguousarray(paircost).ravel()
         # The length test comes first so that a ball never materializes S_n.
@@ -149,22 +151,27 @@ def _batch_costs(U, V, shape: GridShape, cands: np.ndarray) -> np.ndarray:
             else:
                 chunk = idx[lo : lo + _CHUNK]
                 flat = (chunk * n)[:, p] + chunk[:, q] + koff
-            totals[lo : lo + _CHUNK] += pc_flat[flat].sum(axis=1)
-    return totals
+            binary[lo : lo + _CHUNK] = pc_flat[flat].sum(axis=1)
+    return unary, binary
 
 
-def _select(cands: np.ndarray, totals: np.ndarray, center: Optional[np.ndarray]) -> np.ndarray:
-    # Tie key: total cost, then Hamming distance to the center (when given),
-    # then lexicographic order of the assign array.  Exact float equality is
-    # the tie test; genuinely tied candidates produce bit-identical sums.
+def _select(cands: np.ndarray, totals: np.ndarray, center: np.ndarray) -> int:
+    # Tie key: total cost, then Hamming distance to the center, then
+    # lexicographic order of the assign array.  Exact float equality is the
+    # tie test; genuinely tied candidates produce bit-identical sums.
     best = np.flatnonzero(totals == totals.min())
-    if len(best) > 1 and center is not None:
+    if len(best) > 1:
         ham = (cands[best] != center[None, :]).sum(axis=1)
         best = best[ham == ham.min()]
-    if len(best) > 1:
-        rows = sorted(map(tuple, cands[best]))
-        return np.array(rows[0], dtype=np.int64)
-    return cands[best[0]].astype(np.int64)
+    return int(min(best, key=lambda row: cands[row].tolist()))
+
+
+def _refine(logu, logv, center, shape: GridShape, radius: int, cap: Optional[int]):
+    # Best member of the radius ball around ``center`` and its cost parts.
+    cands = _candidate_array(center, radius, cap)
+    unary, binary = _batch_costs(logu, logv, shape, cands)
+    row = _select(cands, unary + binary, center)
+    return cands[row].astype(np.int64), CostBreakdown(float(unary[row]), float(binary[row]))
 
 
 def refine_with_binary(
@@ -183,24 +190,18 @@ def refine_with_binary(
     """
     if shape.is_3d and V is not None:
         raise ValueError("binary refinement is not defined on 3D grids")
-    center = as_permutation(seed, shape.n)
-    cands = _candidate_array(center, radius, candidate_cap)
-    totals = _batch_costs(U, V, shape, cands)
-    return _select(cands, totals, center)
+    logv = None if V is None else neg_log(V)
+    config, _ = _refine(neg_log(U), logv, as_permutation(seed, shape.n), shape, radius, candidate_cap)
+    return config
 
 
 def predict(U, V, shape: GridShape, opts: SolverOptions) -> tuple[np.ndarray, CostBreakdown]:
-    """Hungarian seed plus Hamming-ball refinement when binary terms apply."""
-    arr = validate_unary(U, shape.n)
+    """Hungarian seed refined over the Hamming ball, and the winner's cost."""
+    logu = neg_log(validate_unary(U, shape.n))
     use_v = opts.use_binary and V is not None and not shape.is_3d
-    if use_v:
-        varr = validate_binary(V, shape.n)
-    seed = unary_argmin(arr).config
-    if use_v and opts.radius > 0:
-        config = refine_with_binary(arr, varr, seed, shape, opts.radius, opts.candidate_cap)
-    else:
-        config = seed
-    return config, total_cost(arr, varr if use_v else None, config, shape)
+    logv = neg_log(validate_binary(V, shape.n)) if use_v else None
+    seed = min_cost_assignment(logu).config
+    return _refine(logu, logv, seed, shape, opts.radius if use_v else 0, opts.candidate_cap)
 
 
 def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
@@ -208,9 +209,9 @@ def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
     if shape.n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refused for n > {BRUTE_FORCE_MAX_N}")
     cands = all_permutations(shape.n)
-    totals = _batch_costs(U, V, shape, cands)
+    unary, binary = _batch_costs(neg_log(U), None if V is None else neg_log(V), shape, cands)
     # all_permutations is lexicographic, so the first minimum is the tie rule.
-    return cands[int(np.argmin(totals))].astype(np.int64)
+    return cands[int(np.argmin(unary + binary))].astype(np.int64)
 
 
 def solve_iterative(provider: ScoreProvider, puzzle: "PuzzleInstance", opts: SolverOptions) -> SolveTrace:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -247,3 +249,44 @@ class TestHelp:
             assert exc.value.code == 0
             out = capsys.readouterr().out
             assert "--seed" in out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--epochs", "0"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--batch-size", "0"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--train-rounds", "0"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--lr", "0"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--init-scale", "-1"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--grid", "0x3"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--grid", "abc"],
+        ["gen", "--grid", "0x3", "--out", "{out}"],
+        ["gen", "--grid", "abc", "--out", "{out}"],
+        ["gen", "--grid", "2x2", "--out", "{out}", "--cell", "8", "--crop", "12"],
+        ["solve", "--grid", "0x3", "--oracle", "0.5", "--report", "{out}"],
+        ["solve", "--grid", "abc", "--oracle", "0.5", "--report", "{out}"],
+        ["bench", "--grid", "0x3", "--report", "{out}"],
+        ["bench", "--grid", "abc", "--report", "{out}"],
+    ])
+    def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([a.format(corpus=corpus_dir, out=out) for a in argv])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pattern,repl", [
+        (r"(?m)^cell=.*\n", ""),
+        (r"(?m)^truth=.*$", "truth=0,0,1,2"),
+    ])
+    def test_bad_manifest_is_data_error(self, pattern, repl, corpus_dir, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, root)
+        manifest = root / "inst_00003" / "manifest.txt"
+        manifest.write_text(re.sub(pattern, repl, manifest.read_text(), count=1))
+        code = main(["solve", "--corpus", str(root), "--oracle", "0.5",
+                     "--report", str(tmp_path / "r.jsonl")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "manifest" in err and err.count("\n") == 1

@@ -238,6 +238,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_unary(np.array([[1.5, -0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("off,ok", [(0.5e-9, True), (2e-9, False)])
+    def test_row_sum_tolerance_boundary(self, off, ok):
+        U = np.array([[0.5, 0.5 + off], [0.5, 0.5]])
+        V = np.full((2, 2, 9), 1 / 9)
+        V[0, 1, 0] += off
+        for validate, table in ((validate_unary, U), (validate_binary, V)):
+            if ok:
+                validate(table)
+            else:
+                with pytest.raises(ValueError):
+                    validate(table)
+
     def test_validate_binary_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             validate_binary(np.full((4, 4, 8), 1 / 8))

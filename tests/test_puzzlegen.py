@@ -1,5 +1,7 @@
 """Puzzle generation, image I/O, and corpus storage."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -315,9 +317,20 @@ class TestCorpusStorage:
         root = tmp_path / "corpus"
         save_corpus(root, corpus)
         manifest = next(root.glob("inst_*/manifest.txt"))
-        manifest.write_text("not a manifest\n")
-        with pytest.raises(FormatError):
-            load_corpus(root)
+        good = manifest.read_text()
+        for pattern, repl in (
+            (r"(?s).*", "not a manifest\n"),
+            (r"(?m)^cell=.*\n", ""),
+            (r"(?m)^cell=.*$", "cell=x"),
+            (r"(?m)^grid=.*$", "grid=0x4"),
+            (r"(?m)^truth=.*$", "truth=0,0,1,2"),
+            (r"(?m)^truth=.*$", "truth=0,1,2"),
+        ):
+            text = re.sub(pattern, repl, good, count=1)
+            assert text != good
+            manifest.write_text(text)
+            with pytest.raises(FormatError):
+                load_corpus(root)
 
 
 class TestGenerateCorpus:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from jigsolve import assign, search
 from jigsolve.assign import unary_argmin
 from jigsolve.cost import row_softmax, softmax9, total_cost
 from jigsolve.grid import GridShape, all_permutations, hamming, random_permutation
@@ -135,6 +136,40 @@ class TestPredict:
             wins_with += (with_b == truth).all()
             wins_without += (without_b == truth).all()
         assert wins_with >= wins_without
+
+
+class TestPredictCost:
+    @pytest.mark.parametrize("spec", ["2x2", "3x2", "3x3", "2x2x2"])
+    @pytest.mark.parametrize("use_binary", [True, False])
+    @pytest.mark.parametrize("radius,cap", [(0, None), (3, None), (3, 7)])
+    def test_breakdown_matches_scalar_cost(self, spec, use_binary, radius, cap):
+        shape = GridShape.parse(spec)
+        binary_on = use_binary and not shape.is_3d
+        opts = SolverOptions(radius=radius, use_binary=use_binary, candidate_cap=cap)
+        rng = np.random.default_rng([40, shape.n, radius])
+        for _ in range(10):
+            U, V = random_tables(shape.n, rng)
+            config, bd = predict(U, V, shape, opts)
+            ref = total_cost(U, V if binary_on else None, config, shape)
+            assert bd.unary == pytest.approx(ref.unary, rel=1e-12)
+            assert bd.binary == pytest.approx(ref.binary, rel=1e-12)
+            if not binary_on:
+                assert bd.binary == 0.0
+
+    def test_validates_each_table_once(self, monkeypatch):
+        calls = []
+        for module, name in ((search, "validate_unary"), (search, "validate_binary"),
+                             (assign, "validate_unary")):
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _tag=f"{module.__name__}.{name}"):
+                calls.append(_tag)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        U, V = random_tables(9, np.random.default_rng(41))
+        predict(U, V, S3, SolverOptions())
+        assert sorted(calls) == ["jigsolve.search.validate_binary", "jigsolve.search.validate_unary"]
 
 
 class TestBruteForceArgmin:
