@@ -44,6 +44,14 @@ def _options(make, *args, **fields):
         raise UsageError(str(exc)) from None
 
 
+def _check_run_flags(args, noises) -> None:
+    """``--count`` and the oracle flags at each noise level, before any puzzle is built."""
+    if args.count is not None and args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
+    for eps in noises:
+        _options(OracleScorer, eps, binary_noise=args.oracle_binary, jitter=args.oracle_jitter)
+
+
 def _default_threads() -> int:
     env = os.environ.get("JIGSOLVE_THREADS")
     if env:
@@ -217,6 +225,7 @@ def cmd_solve(args) -> int:
         use_binary=not args.no_binary,
         candidate_cap=args.candidate_cap,
     )
+    _check_run_flags(args, [] if args.oracle is None else [args.oracle])
     model, instances, shape, count = _load_solve_inputs(args)
     desc = f"model:{args.model}" if model is not None else (
         f"oracle:eps={args.oracle}"
@@ -250,6 +259,7 @@ def cmd_bench(args) -> int:
     radii = _parse_list(args.radii, int)
     rounds_list = _parse_list(args.rounds, int)
     noises = _parse_list(args.noise, float)
+    _check_run_flags(args, noises)
     binary_opts = {"both": [True, False], "on": [True], "off": [False]}[args.binary]
     all_records = []
     summary = []
@@ -296,10 +306,10 @@ def cmd_selftest(args) -> int:
         except AssertionError as exc:
             checks.append((name, False, str(exc)))
 
-    def assignment_optimality():
+    def assignment_optimality(draw):
         for _ in range(300):
             n = int(rng.integers(2, 6))
-            m = rng.random((n, n))
+            m = draw(n)
             res = assign.min_cost_assignment(m)
             perms = grid.all_permutations(n).astype(np.intp)
             costs = m[np.arange(n), perms].sum(axis=1)
@@ -345,7 +355,10 @@ def cmd_selftest(args) -> int:
             trace = search.solve_iterative(OracleScorer(0.0), inst, SolverOptions())
             assert trace.solved and trace.converged, f"eps=0 failed on {spec}"
 
-    check("assignment optimality vs brute force (n<=5, tol 1e-12)", assignment_optimality)
+    check("assignment optimality vs brute force (n<=5, tol 1e-12)",
+          lambda: assignment_optimality(lambda n: rng.random((n, n))))
+    check("tie rule on integer {0,1,2} matrices vs brute force (n<=5, exact)",
+          lambda: assignment_optimality(lambda n: rng.integers(0, 3, (n, n)).astype(np.float64)))
     check("hamming ball cardinalities vs formula and S_n filter (exact)", ball_cardinalities)
     check("analytic gradients vs central differences (rel err < 1e-4)", gradient_check)
     check("perfect oracle solves scrambles (exact)", perfect_oracle)

@@ -113,12 +113,12 @@ def oracle_score(
     0 < eps < 1, a logit perturbation of amplitude ``jitter*eps*(1-eps)``
     is drawn per call.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must be in [0, 1]")
-    t = np.asarray(truth, dtype=np.int64)
-    n = shape.n
     if binary_eps is None:
         binary_eps = eps
+    if not (0.0 <= eps <= 1.0 and 0.0 <= binary_eps <= 1.0):
+        raise ValueError("eps and binary_eps must be in [0, 1]")
+    t = np.asarray(truth, dtype=np.int64)
+    n = shape.n
 
     def noisy(base: np.ndarray, e: float) -> np.ndarray:
         amp = jitter * e * (1.0 - e)
@@ -151,6 +151,13 @@ class OracleScorer:
     rng: Optional[np.random.Generator] = None
     binary_noise: Optional[float] = None
     jitter: float = DEFAULT_ORACLE_JITTER
+
+    def __post_init__(self):
+        for name, eps in (("noise", self.noise), ("binary noise", self.binary_noise)):
+            if eps is not None and not 0.0 <= eps <= 1.0:
+                raise ValueError(f"oracle {name} must be in [0, 1], got {eps}")
+        if not np.isfinite(self.jitter):
+            raise ValueError(f"oracle jitter must be finite, got {self.jitter}")
 
     def score(self, puzzle: PuzzleInstance) -> tuple[np.ndarray, Optional[np.ndarray]]:
         if puzzle.truth is None:
@@ -413,7 +420,10 @@ def train_sgd(
                     solver_opts,
                 )
                 losses.append(loss)
-                acc = grads if acc is None else acc.__iadd__(grads)
+                if acc is None:
+                    acc = grads
+                else:
+                    acc += grads
             assert acc is not None
             step = acc.scaled(opts.learning_rate / len(batch))
             model.unary_w -= step.unary_w

@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from jigsolve.assign import min_cost_assignment, unary_argmin
+from jigsolve import assign
+from jigsolve.assign import TIE_TOL, min_cost_assignment, unary_argmin
 from jigsolve.cost import neg_log, row_softmax, unary_cost
 
 U_2X2 = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -22,6 +24,70 @@ def brute_force(matrix):
             best_cost = cost
             best = p
     return np.array(best), best_cost
+
+
+def _solve(matrix):
+    rows, cols = linear_sum_assignment(matrix)
+    return cols, float(matrix[rows, cols].sum())
+
+
+def greedy_reference(costs):
+    """The tie rule by a greedy pass that re-solves for every smaller column.
+
+    Pins slots left to right; a smaller unused column wins when a constrained
+    re-solve shows it still admits an optimal completion.  ``(config, cost)``.
+    """
+    m = np.asarray(costs, dtype=np.float64)
+    n = m.shape[0]
+    completion, opt = _solve(m)
+    tol = TIE_TOL * max(1.0, abs(opt))
+
+    config = np.empty(n, dtype=np.int64)
+    remaining = list(range(n))  # kept sorted
+    completion = list(completion)  # optimal columns for slots s..n-1
+    fixed = 0.0
+    for s in range(n):
+        chosen = completion[0]
+        for c in remaining:
+            if c >= chosen:
+                break
+            rest = [r for r in remaining if r != c]
+            if s + 1 < n:
+                sub_cols, sub_cost = _solve(m[s + 1 :, rest])
+                cand_cost = fixed + m[s, c] + sub_cost
+                cand_completion = [rest[j] for j in sub_cols]
+            else:
+                cand_cost = fixed + m[s, c]
+                cand_completion = []
+            if cand_cost <= opt + tol:
+                chosen = c
+                completion = [c] + cand_completion
+                break
+        config[s] = chosen
+        fixed += m[s, chosen]
+        remaining.remove(chosen)
+        completion = completion[1:]
+    return config, float(m[np.arange(n), config].sum())
+
+
+def _matrix_kinds(n, rng):
+    """Named matrices of size n, from generic to tie-heavy."""
+    yield "uniform", rng.random((n, n))
+    yield "neg_log_softmax", neg_log(row_softmax(rng.standard_normal((n, n)) * 2.0))
+    yield "int012", rng.integers(0, 3, (n, n)).astype(np.float64)
+    yield "round_0.1", np.round(rng.random((n, n)), 1)
+    for factor in (0.5, -0.5, 2.0, -2.0):
+        m = np.full((n, n), 0.7)
+        i, j = rng.integers(0, n, 2)
+        m[i, j] *= 1.0 + factor * TIE_TOL
+        yield f"ties_nudged_{factor:+g}", m
+    for factor in (1.0 - 1e-6, 1.0, 1.0 + 1e-6):
+        # one entry below the all-ties optimum by about the tie tolerance
+        m = np.full((n, n), 0.7)
+        i, j = rng.integers(0, n, 2)
+        m[i, j] -= factor * TIE_TOL * max(1.0, 0.7 * n)
+        yield f"ties_at_tol_{factor:.6f}", m
+    yield "shift_1e6", rng.random((n, n)) + 1e6
 
 
 class TestMinCostAssignment:
@@ -84,6 +150,46 @@ class TestMinCostAssignment:
             min_cost_assignment(np.ones((2, 3)))
         with pytest.raises(ValueError):
             min_cost_assignment(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestAgainstGreedy:
+    def test_identical_to_greedy_reference(self):
+        rng = np.random.default_rng(16)
+        for n in range(1, 41):
+            for _ in range(2):
+                for kind, m in _matrix_kinds(n, rng):
+                    res = min_cost_assignment(m)
+                    config, cost = greedy_reference(m)
+                    assert res.config.tolist() == config.tolist(), (kind, n)
+                    assert res.cost == cost, (kind, n)
+
+    def test_generic_seed_takes_few_solves(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return linear_sum_assignment(matrix)
+
+        monkeypatch.setattr(assign, "linear_sum_assignment", counting)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            m = neg_log(row_softmax(rng.standard_normal((27, 27))))
+            calls.clear()
+            min_cost_assignment(m)
+            assert calls[0] == (27, 27)
+            assert len(calls) <= 5
+
+    def test_reduced_moves_are_feasible_and_telescope(self):
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 5, 27):
+            m = neg_log(row_softmax(rng.standard_normal((n, n))))
+            _, sigma = linear_sum_assignment(m)
+            red, _ = assign._reduced_moves(m, sigma)
+            assert red.min() >= -1e-12
+            assert (np.diag(red) == 0.0).all()
+            p = rng.permutation(n)
+            extra = m[np.arange(n), p].sum() - m[np.arange(n), sigma].sum()
+            assert red[sigma, p].sum() == pytest.approx(extra, abs=1e-9)
 
 
 class TestUnaryArgmin:

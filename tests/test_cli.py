@@ -267,6 +267,18 @@ class TestBadInput:
         ["solve", "--grid", "abc", "--oracle", "0.5", "--report", "{out}"],
         ["bench", "--grid", "0x3", "--report", "{out}"],
         ["bench", "--grid", "abc", "--report", "{out}"],
+        ["solve", "--grid", "3x3", "--oracle", "0.5", "--count", "0", "--report", "{out}"],
+        ["solve", "--grid", "3x3", "--oracle", "0.5", "--count", "-1", "--report", "{out}"],
+        ["solve", "--corpus", "{corpus}", "--oracle", "0.5", "--count", "0", "--report", "{out}"],
+        ["bench", "--grid", "2x2", "--count", "0", "--report", "{out}"],
+        ["solve", "--grid", "3x3", "--oracle", "nan", "--report", "{out}"],
+        ["solve", "--grid", "3x3", "--oracle", "-1", "--report", "{out}"],
+        ["bench", "--grid", "2x2", "--noise", "0.2,nan", "--report", "{out}"],
+        ["bench", "--grid", "2x2", "--noise", "0.2,1.5", "--report", "{out}"],
+        ["solve", "--grid", "3x3", "--oracle", "0.5", "--oracle-jitter", "nan", "--report", "{out}"],
+        ["bench", "--grid", "2x2", "--oracle-jitter", "nan", "--report", "{out}"],
+        ["solve", "--grid", "3x3", "--oracle", "0.5", "--oracle-binary", "1.5", "--report", "{out}"],
+        ["bench", "--grid", "2x2", "--oracle-binary", "nan", "--report", "{out}"],
     ])
     def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"

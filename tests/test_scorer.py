@@ -140,6 +140,19 @@ class TestOracleScore:
         with pytest.raises(ValueError):
             oracle_score(np.arange(4), S2, 1.5)
 
+    def test_rejects_out_of_range_binary_eps(self):
+        with pytest.raises(ValueError):
+            oracle_score(np.arange(4), S2, 0.5, binary_eps=2.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"noise": math.nan}, {"noise": -0.1}, {"noise": 1.5},
+        {"noise": 0.5, "binary_noise": math.nan}, {"noise": 0.5, "binary_noise": 2.0},
+        {"noise": 0.5, "jitter": math.nan}, {"noise": 0.5, "jitter": math.inf},
+    ])
+    def test_scorer_rejects_bad_fields_when_built(self, fields):
+        with pytest.raises(ValueError):
+            OracleScorer(**fields)
+
 
 class TestLinearScore:
     def test_zero_model_is_uniform(self):
