@@ -182,7 +182,7 @@ def _aggregate(records, curves, shape, seed, scorer_desc, opts, count) -> dict:
         "d_le_2_rate": float(np.mean(hams <= 2)),
         "mean_rounds": float(np.mean([r["rounds_used"] for r in records])),
         "config_space_size": space,
-        "config_space_size_approx": float(space),
+        "config_space_size_approx": float(space) if space <= sys.float_info.max else None,
         "per_round_solved": [float(f) for f in curves.mean(axis=0)],
     }
     return agg

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import NUM_REL_CLASSES, GridShape, as_permutation, relation_table
+from .grid import NUM_REL_CLASSES, GridShape, as_permutation, ordered_pairs, relation_table
 
 PROB_FLOOR = 1e-12
 ROW_SUM_TOL = 1e-9
@@ -75,10 +75,8 @@ def validate_binary(V, n: int | None = None) -> np.ndarray:
         raise ValueError(f"binary table is for n={arr.shape[0]}, expected n={n}")
     if not np.isfinite(arr).all():
         raise ValueError("binary table must be finite")
-    m = arr.shape[0]
-    off = ~np.eye(m, dtype=bool)
-    sums = arr.sum(axis=2)[off]
-    if (arr[off] < 0).any() or not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():
+    pairs = arr[ordered_pairs(arr.shape[0])]
+    if (pairs < 0).any() or not (np.abs(pairs.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
         raise ValueError("every off-diagonal 9-vector must be a distribution")
     return arr
 
@@ -104,10 +102,6 @@ def unary_cost(U, c) -> float:
     return float(np.sum(neg_log(arr[np.arange(perm.size), perm])))
 
 
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.where(~np.eye(n, dtype=bool))
-
-
 def binary_cost(V, c, shape: GridShape) -> float:
     """Sum over ordered slot pairs of the relative-position log-likelihoods."""
     if shape.is_3d:
@@ -118,7 +112,7 @@ def binary_cost(V, c, shape: GridShape) -> float:
     if arr.shape != (n, n, NUM_REL_CLASSES):
         raise ValueError(f"binary table {arr.shape} does not match n={n}")
     rel = relation_table(shape)
-    p, q = _pair_indices(n)
+    p, q = ordered_pairs(n)
     classes = rel[perm[p], perm[q]]
     return float(np.sum(neg_log(arr[p, q, classes])))
 

@@ -162,6 +162,19 @@ def relation_table(shape: GridShape) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=32)
+def ordered_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(p, q)`` over the n(n-1) ordered pairs of distinct cells.
+
+    Pair k is ``(p[k], q[k])``, row-major without the diagonal; every
+    pair-indexed array (binary head rows, pair costs, the ball index) uses it.
+    """
+    p, q = np.where(~np.eye(n, dtype=bool))
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
+
+
 def as_permutation(c, n: int | None = None) -> np.ndarray:
     """Validate and return ``c`` as an int64 permutation array."""
     arr = np.asarray(c, dtype=np.int64)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import neg_log, row_softmax
-from .grid import NUM_REL_CLASSES, GridShape, relation_table
+from .grid import NUM_REL_CLASSES, GridShape, ordered_pairs, relation_table
 from .puzzlegen import FormatError, PuzzleInstance
 from .search import SolverOptions, predict
 
@@ -137,7 +137,7 @@ def oracle_score(
         return U, None
     rel = relation_table(shape)
     V = np.full((n, n, NUM_REL_CLASSES), binary_eps / NUM_REL_CLASSES)
-    p, q = np.where(~np.eye(n, dtype=bool))
+    p, q = ordered_pairs(n)
     V[p, q, rel[t[p], t[q]]] += 1.0 - binary_eps
     V[p, q] = noisy(V[p, q], binary_eps)
     return U, V
@@ -238,7 +238,7 @@ class LinearScorer:
 
 def _pair_concat(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = F.shape[0]
-    p, q = np.where(~np.eye(n, dtype=bool))
+    p, q = ordered_pairs(n)
     return p, q, np.concatenate([F[p], F[q]], axis=1)
 
 
@@ -289,13 +289,17 @@ def loss_and_grad(model: LinearScorer, F, truth, shape: GridShape) -> tuple[floa
     Unary: mean over slots of CE(U row s, truth[s]).  Binary (2D only): mean
     over ordered pairs of CE(V[p,q], true relative class).
     """
+    U, V = linear_score(model, F)
+    return _loss_and_grad(model, F, truth, shape, U, V)
+
+
+def _loss_and_grad(model: LinearScorer, F, truth, shape: GridShape, U, V) -> tuple[float, Grads]:
+    # loss_and_grad, given the tables that linear_score(model, F) returned.
     F = np.asarray(F, dtype=np.float64)
     t = np.asarray(truth, dtype=np.int64)
     n = shape.n
     flat = F.ravel()
 
-    logits = (model.unary_w @ flat + model.unary_b).reshape(n, n)
-    U = row_softmax(logits)
     loss_u = float(np.mean(neg_log(U[np.arange(n), t])))
     dZ = U.copy()
     dZ[np.arange(n), t] -= 1.0
@@ -310,10 +314,9 @@ def loss_and_grad(model: LinearScorer, F, truth, shape: GridShape) -> tuple[floa
     else:
         rel = relation_table(shape)
         p, q, X = _pair_concat(F)
-        probs = row_softmax(X @ model.binary_w.T + model.binary_b)
+        dP = V[p, q]
         classes = rel[t[p], t[q]]
-        loss_b = float(np.mean(neg_log(probs[np.arange(len(p)), classes])))
-        dP = probs.copy()
+        loss_b = float(np.mean(neg_log(dP[np.arange(len(p)), classes])))
         dP[np.arange(len(p)), classes] -= 1.0
         dP /= len(p)
         g_bw = dP.T @ X
@@ -363,14 +366,14 @@ def _sample_pass(
     total_grads: Optional[Grads] = None
     done = 0
     for _ in range(rounds):
-        loss, grads = loss_and_grad(model, feats, truth, shape)
+        U, V = linear_score(model, feats)
+        loss, grads = _loss_and_grad(model, feats, truth, shape, U, V)
         total_loss += loss
         if total_grads is None:
             total_grads = grads
         else:
             total_grads += grads
         done += 1
-        U, V = linear_score(model, feats)
         pred, _ = predict(U, V, shape, solver_opts)
         if (pred == np.arange(shape.n)).all():
             break

@@ -3,31 +3,30 @@
 A round validates and takes ``-ln`` of each table once, seeds from the
 Hungarian solution of the unary terms, and ranks every permutation within a
 limited Hamming distance of the seed (radius 0 unless 2D binary terms apply)
-with one cost kernel, whose parts at the winner are the round's cost.  The
-prediction is then applied physically -- patches move to their predicted
-slots -- until the predictor proposes the identity or a round cap is reached.
+with one cost kernel over a cached identity-ball index; the parts at the
+winner are the round's cost.  The prediction is then applied physically --
+patches move to their predicted slots -- until the predictor proposes the
+identity or a round cap is reached.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Protocol, TYPE_CHECKING
 
 import numpy as np
 
-from . import cost as _cost
 from .assign import min_cost_assignment
 from .cost import CostBreakdown, neg_log, validate_binary, validate_unary
 from .grid import (
     GridShape,
-    all_permutations,
+    _ball_table,
     as_permutation,
-    enumerate_hamming_ball,
     hamming,
     hamming_ball_size,
     is_identity,
+    ordered_pairs,
     relation_table,
 )
 
@@ -35,7 +34,7 @@ if TYPE_CHECKING:
     from .puzzlegen import PuzzleInstance
 
 BRUTE_FORCE_MAX_N = 9
-_CHUNK = 50_000
+_GATHER_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -90,88 +89,71 @@ class ScoreProvider(Protocol):
         ...
 
 
-def _candidate_array(center: np.ndarray, radius: int, cap: Optional[int]) -> np.ndarray:
-    n = center.size
-    if radius >= n and n <= BRUTE_FORCE_MAX_N and cap is None:
-        return all_permutations(n)
-    radius = min(radius, n)
-    if cap is None:
-        return enumerate_hamming_ball(center, radius)
-    # A smaller ball is a prefix of a larger one, so the first `cap` members
-    # come from the smallest radius whose ball holds them; a large radius
-    # with a small cap then never builds the whole table.
-    while radius > 0 and hamming_ball_size(n, radius - 1) >= cap:
-        radius -= 1
-    return enumerate_hamming_ball(center, radius)[:cap]
-
-
-@lru_cache(maxsize=1)
-def _full_sweep_flat(shape: GridShape) -> np.ndarray:
-    # Flattened pair-table indices for the all-permutations sweep.  They only
-    # depend on the grid, so full-enumeration calls (the brute-force oracle
-    # and radius >= n refinement) share one precomputed gather index.
-    n = shape.n
-    idx = all_permutations(n).astype(np.intp)
-    p, q = _cost._pair_indices(n)
-    koff = (np.arange(len(p), dtype=np.intp) * n * n)[None, :]
-    flat = ((idx * n)[:, p] + idx[:, q] + koff).astype(np.int32)
+@lru_cache(maxsize=4)
+def _ball_index(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    # The identity ball T and its pair gather index k*n*n + T[i,p_k]*n +
+    # T[i,q_k], Fortran-ordered: numpy then sums each row of a gather
+    # through it left to right, in pair order.
+    table = _ball_table(n, radius)
+    p, q = ordered_pairs(n)
+    t = table.astype(np.int32 if n**4 < 2**31 else np.intp)
+    flat = np.asfortranarray(t[:, p] * n)
+    flat += t[:, q]
+    flat += np.arange(len(p), dtype=t.dtype) * (n * n)
     flat.setflags(write=False)
-    return flat
+    return table, flat
 
 
-def _batch_costs(logu, logv, shape: GridShape, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unary and binary cost parts of each candidate row, from ``-ln`` tables.
+def _batch_costs(logu, logv, shape: GridShape, center, table, flat) -> tuple[np.ndarray, np.ndarray]:
+    """Unary and binary cost parts of each candidate ``center[table[i]]``.
 
-    All rows of one call are summed the same way, so they rank consistently;
-    a total may differ from the scalar ``total_cost`` in the last bits.
+    ``table`` and ``flat`` are rows of the cached identity-ball index.  The
+    ``-ln`` tables are relabelled by the center (slot ``j`` reads ID
+    ``center[j]``), so row ``i`` gathers exactly the floats of candidate
+    ``i``, in pair order, without building it.  All rows are summed the same
+    way, so they rank consistently; a total may differ from the scalar
+    ``total_cost`` in the last bits.  Chunks gather about ``_GATHER_BYTES``.
     """
     n = shape.n
-    idx = cands.astype(np.intp)
-    unary = logu[np.arange(n), idx].sum(axis=1)
-    binary = np.zeros(len(idx))
+    unary = logu[:, center][np.arange(n), table].sum(axis=1)
+    binary = np.zeros(len(table))
     if logv is not None:
-        rel = relation_table(shape)
-        p, q = _cost._pair_indices(n)
-        # One flattened lookup table per ordered pair: entry (k, a*n + b) is
-        # the pair-k cost of original IDs (a, b).  A single gather per chunk
-        # then replaces the per-pair class lookup.
-        paircost = logv[p[:, None], q[:, None], rel.ravel()[None, :]]
-        pc_flat = np.ascontiguousarray(paircost).ravel()
-        # The length test comes first so that a ball never materializes S_n.
-        cached = (
-            n <= BRUTE_FORCE_MAX_N
-            and len(cands) == math.factorial(n)
-            and cands is all_permutations(n)
-        )
-        flat_all = _full_sweep_flat(shape) if cached else None
-        koff = (np.arange(len(p), dtype=np.intp) * n * n)[None, :]
-        for lo in range(0, len(idx), _CHUNK):
-            if cached:
-                flat = flat_all[lo : lo + _CHUNK]
-            else:
-                chunk = idx[lo : lo + _CHUNK]
-                flat = (chunk * n)[:, p] + chunk[:, q] + koff
-            binary[lo : lo + _CHUNK] = pc_flat[flat].sum(axis=1)
+        p, q = ordered_pairs(n)
+        rel = relation_table(shape)[np.ix_(center, center)]
+        # Entry (k, a*n + b): pair k's cost for the IDs center[a], center[b].
+        pc_flat = logv[p[:, None], q[:, None], rel.ravel()[None, :]].ravel()
+        # A chunk of one row would be summed pairwise instead, so no chunk
+        # holds a single row unless the whole set is one row.
+        step = max(2, _GATHER_BYTES // (8 * max(1, len(p))))
+        starts = range(0, max(1, len(flat) - 1), step)
+        for lo, hi in zip(starts, [*starts[1:], len(flat)]):
+            binary[lo:hi] = pc_flat[flat[lo:hi]].sum(axis=1)
     return unary, binary
 
 
-def _select(cands: np.ndarray, totals: np.ndarray, center: np.ndarray) -> int:
-    # Tie key: total cost, then Hamming distance to the center, then
-    # lexicographic order of the assign array.  Exact float equality is the
-    # tie test; genuinely tied candidates produce bit-identical sums.
+def _select(table: np.ndarray, totals: np.ndarray, center: np.ndarray) -> int:
+    # Tie key: total cost, then Hamming distance to the center (the slots
+    # the table row moves), then lexicographic order of the candidate.  Exact
+    # float equality is the tie test; true ties give bit-identical sums.
     best = np.flatnonzero(totals == totals.min())
     if len(best) > 1:
-        ham = (cands[best] != center[None, :]).sum(axis=1)
-        best = best[ham == ham.min()]
-    return int(min(best, key=lambda row: cands[row].tolist()))
+        moved = (table[best] != np.arange(table.shape[1])).sum(axis=1)
+        best = best[moved == moved.min()]
+    return int(min(best, key=lambda row: center[table[row]].tolist()))
 
 
 def _refine(logu, logv, center, shape: GridShape, radius: int, cap: Optional[int]):
-    # Best member of the radius ball around ``center`` and its cost parts.
-    cands = _candidate_array(center, radius, cap)
-    unary, binary = _batch_costs(logu, logv, shape, cands)
-    row = _select(cands, unary + binary, center)
-    return cands[row].astype(np.int64), CostBreakdown(float(unary[row]), float(binary[row]))
+    # Best of the radius ball around ``center`` and its cost parts.  A ball
+    # is a prefix of any larger one, so a cap takes its ``cap`` members from
+    # the smallest ball holding them, never building the whole table.
+    n = shape.n
+    radius = min(radius, n)
+    while cap is not None and radius > 0 and hamming_ball_size(n, radius - 1) >= cap:
+        radius -= 1
+    table, flat = (a[:cap] for a in _ball_index(n, radius))
+    unary, binary = _batch_costs(logu, logv, shape, center, table, flat)
+    row = _select(table, unary + binary, center)
+    return center[table[row]], CostBreakdown(float(unary[row]), float(binary[row]))
 
 
 def refine_with_binary(
@@ -190,6 +172,8 @@ def refine_with_binary(
     """
     if shape.is_3d and V is not None:
         raise ValueError("binary refinement is not defined on 3D grids")
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     logv = None if V is None else neg_log(V)
     config, _ = _refine(neg_log(U), logv, as_permutation(seed, shape.n), shape, radius, candidate_cap)
     return config
@@ -205,13 +189,18 @@ def predict(U, V, shape: GridShape, opts: SolverOptions) -> tuple[np.ndarray, Co
 
 
 def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
-    """Exhaustive minimum over all n! configurations (test oracle, n <= 9)."""
-    if shape.n > BRUTE_FORCE_MAX_N:
+    """Exhaustive minimum over all n! configurations (test oracle, n <= 9).
+
+    Ties go to the lexicographically smallest configuration.
+    """
+    n = shape.n
+    if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refused for n > {BRUTE_FORCE_MAX_N}")
-    cands = all_permutations(shape.n)
-    unary, binary = _batch_costs(neg_log(U), None if V is None else neg_log(V), shape, cands)
-    # all_permutations is lexicographic, so the first minimum is the tie rule.
-    return cands[int(np.argmin(unary + binary))].astype(np.int64)
+    table, flat = _ball_index(n, n)
+    logv = None if V is None else neg_log(V)
+    totals = sum(_batch_costs(neg_log(U), logv, shape, np.arange(n), table, flat))
+    best = np.flatnonzero(totals == totals.min())
+    return np.array(min(table[best].tolist()), dtype=np.int64)
 
 
 def solve_iterative(provider: ScoreProvider, puzzle: "PuzzleInstance", opts: SolverOptions) -> SolveTrace:

@@ -135,6 +135,20 @@ class TestSolve:
         for p in puzzles:
             assert p["final_hamming"] != 1
 
+    def test_config_space_past_float_range(self, tmp_path):
+        # 180! does not fit in a float, so its approximation is null.
+        report = tmp_path / "r.jsonl"
+        code = main(["solve", "--grid", "6x6x5", "--oracle", "0", "--count", "1",
+                     "--report", str(report)])
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        agg = json.loads(report.read_text().splitlines()[-1], parse_constant=reject)
+        assert agg["config_space_size"] == math.factorial(180)
+        assert agg["config_space_size_approx"] is None
+
     def test_model_on_corpus(self, corpus_dir, tmp_path):
         model = tmp_path / "m.jsw1"
         main(["train", "--corpus", str(corpus_dir), "--out", str(model),

@@ -323,9 +323,9 @@ def scanned(monkeypatch):
     seen = []
     real = search._batch_costs
 
-    def spy(U, V, shape, cands):
-        seen.append(np.array(cands))
-        return real(U, V, shape, cands)
+    def spy(logu, logv, shape, center, table, flat):
+        seen.append(center[table])
+        return real(logu, logv, shape, center, table, flat)
 
     monkeypatch.setattr(search, "_batch_costs", spy)
     return seen

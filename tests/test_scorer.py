@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jigsolve import scorer
 from jigsolve.cost import validate_binary, validate_unary
 from jigsolve.grid import GridShape, hamming, random_permutation, relative_type
 from jigsolve.puzzlegen import FormatError, GenOptions, generate_corpus
@@ -273,6 +274,26 @@ class TestTrainSgd:
         )
         assert len(result.epoch_losses) == 1
         assert math.isfinite(result.epoch_losses[0])
+
+    def test_one_forward_pass_per_replay_round(self, monkeypatch):
+        calls = {"softmax": 0, "predict": 0}
+        real_softmax, real_predict = scorer.row_softmax, scorer.predict
+
+        def softmax(z):
+            calls["softmax"] += 1
+            return real_softmax(z)
+
+        def counted_predict(*args):
+            calls["predict"] += 1
+            return real_predict(*args)
+
+        monkeypatch.setattr(scorer, "row_softmax", softmax)
+        monkeypatch.setattr(scorer, "predict", counted_predict)
+        train_sgd(self.corpus(8), TrainOptions(epochs=1, train_rounds=3, seed=2),
+                  SolverOptions())
+        # one unary and one binary softmax per round, each round one predict
+        assert calls["predict"] >= 8
+        assert calls["softmax"] == 2 * calls["predict"]
 
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,23 @@
 """Hungarian seed + Hamming-ball refinement and the iterative solve loop."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jigsolve import assign, search
 from jigsolve.assign import unary_argmin
-from jigsolve.cost import row_softmax, softmax9, total_cost
-from jigsolve.grid import GridShape, all_permutations, hamming, random_permutation
+from jigsolve.cost import neg_log, row_softmax, softmax9, total_cost
+from jigsolve.grid import (
+    GridShape,
+    all_permutations,
+    enumerate_hamming_ball,
+    hamming,
+    hamming_ball_size,
+    random_permutation,
+    relation_table,
+)
 from jigsolve.puzzlegen import PuzzleInstance
 from jigsolve.scorer import OracleScorer, oracle_score
 from jigsolve.search import (
@@ -45,6 +54,66 @@ def exhaustive_argmin(U, V, shape):
             best_cost = cost
             best = c
     return best
+
+
+def gathered_costs(logu, logv, shape, cands):
+    """Cost parts of each candidate row, gathered at the candidate itself.
+
+    This is the kernel that built the candidates.  Its pair index comes out
+    Fortran-ordered, so when it gathers several rows each one is summed left
+    to right; a single row is summed pairwise.
+    """
+    n = shape.n
+    idx = cands.astype(np.intp)
+    unary = logu[np.arange(n), idx].sum(axis=1)
+    p, q = np.where(~np.eye(n, dtype=bool))
+    paircost = logv[p[:, None], q[:, None], relation_table(shape).ravel()[None, :]]
+    flat = (idx * n)[:, p] + idx[:, q] + (np.arange(len(p)) * n * n)[None, :]
+    return unary, paircost.ravel()[flat].sum(axis=1)
+
+
+class TestBallKernel:
+    @pytest.mark.parametrize("extents", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)])
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 3])
+    def test_relabelled_tables_equal_the_candidate_gather(self, extents, chunk_rows, monkeypatch):
+        shape = GridShape(extents)
+        n = shape.n
+        if chunk_rows is not None:
+            monkeypatch.setattr(search, "_GATHER_BYTES", 8 * n * (n - 1) * chunk_rows)
+        rng = np.random.default_rng([50, n])
+        cases = [(r, None) for r in range(min(n, 4) + 1)]
+        # The last cap ends inside the radius-n ball, past the radius-(n-1) one.
+        cases += [(n, None), (n, 1), (min(n, 3), 5), (n, hamming_ball_size(n, n - 1) + 1)]
+        for radius, cap in cases:
+            U, V = random_tables(n, rng)
+            logu, logv = neg_log(U), neg_log(V)
+            center = random_permutation(n, rng)
+            table, flat = (a[:cap] for a in search._ball_index(n, radius))
+            cands = center[table]
+            assert (cands == enumerate_hamming_ball(center, radius)[:cap]).all()
+            unary, binary = search._batch_costs(logu, logv, shape, center, table, flat)
+            want_unary, want_binary = gathered_costs(logu, logv, shape, cands)
+            assert (unary == want_unary).all(), (radius, cap)
+            assert (binary == want_binary).all(), (radius, cap)
+
+    def test_index_is_cached_and_read_only(self):
+        table, flat = search._ball_index(5, 3)
+        assert search._ball_index(5, 3)[1] is flat
+        assert not table.flags.writeable and not flat.flags.writeable
+
+    def test_warm_6x6_predict_memory_is_bounded(self):
+        shape = GridShape((6, 6))
+        rng = np.random.default_rng(51)
+        U, V = oracle_score(random_permutation(36, rng), shape, 0.5, rng=rng)
+        opts = SolverOptions(radius=3)
+        predict(U, V, shape, opts)
+        tracemalloc.start()
+        try:
+            predict(U, V, shape, opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
 
 class TestRefineWithBinary:
@@ -188,6 +257,19 @@ class TestBruteForceArgmin:
         for _ in range(10):
             U, V = random_tables(4, rng)
             assert (brute_force_argmin(U, V, S2) == exhaustive_argmin(U, V, S2)).all()
+
+    def test_uniform_tables_keep_the_seed_at_radius_n(self):
+        # Every configuration ties, so the Hamming key keeps the seed and
+        # the brute-force tie rule picks the identity.
+        rng = np.random.default_rng(52)
+        for shape in (S2, GridShape((3, 2)), S3):
+            n = shape.n
+            U, V = np.full((n, n), 1 / n), np.full((n, n, 9), 1 / 9)
+            config, _ = predict(U, V, shape, SolverOptions(radius=n))
+            assert (config == unary_argmin(U).config).all()
+            seed = random_permutation(n, rng)
+            assert (refine_with_binary(U, V, seed, shape, n) == seed).all()
+            assert (brute_force_argmin(U, V, shape) == np.arange(n)).all()
 
     def test_refuses_large_grids(self):
         with pytest.raises(ValueError):
