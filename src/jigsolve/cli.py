@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -117,22 +116,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _make_provider(args, rng: np.random.Generator, model, eps):
-    if model is not None:
-        return model
-    return OracleScorer(
-        noise=eps,
-        rng=rng,
-        binary_noise=args.oracle_binary,
-        jitter=args.oracle_jitter,
-    )
-
-
 def _solve_one(args, index, instance, shape, opts, model, eps):
     rng = np.random.default_rng([args.seed, index])
     if instance is None:
         instance = PuzzleInstance.scrambled(shape, rng)
-    provider = _make_provider(args, rng, model, eps)
+    provider = model if model is not None else OracleScorer(
+        noise=eps, rng=rng, binary_noise=args.oracle_binary, jitter=args.oracle_jitter
+    )
     trace = search.solve_iterative(provider, instance, opts)
     final_ham = grid.hamming(trace.final_truth, np.arange(shape.n))
     per_round = []
@@ -153,14 +143,10 @@ def _solve_one(args, index, instance, shape, opts, model, eps):
 
 
 def _run_batch(args, shape, instances, count, opts, model, eps):
-    def work(i):
-        return _solve_one(args, i, instances[i] if instances else None, shape, opts, model, eps)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(work, range(count)))
-    else:
-        results = [work(i) for i in range(count)]
+    results = [
+        _solve_one(args, i, instances[i] if instances else None, shape, opts, model, eps)
+        for i in range(count)
+    ]
     records = [r for r, _ in results]
     curves = np.array([c for _, c in results], dtype=bool)
     return records, curves
@@ -214,6 +200,9 @@ def _load_solve_inputs(args):
         count = args.count if args.count is not None else 100
     if model is not None and model.shape != shape:
         raise FormatError(f"model grid {model.shape} does not match corpus grid {shape}")
+    # load_corpus holds every patch of a corpus to one shape.
+    if model is not None and model.d != scorer.feature_dim(model.recipe, instances[0].patches.shape[-1]):
+        raise FormatError(f"{args.model}: feature width {model.d} does not fit the corpus's patches")
     return model, instances, shape, count
 
 
@@ -376,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
         p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads (default $JIGSOLVE_THREADS or 1)")
+                       help="accepted; the value changes neither the output nor the "
+                            "parallelism (default $JIGSOLVE_THREADS or 1)")
 
     g = sub.add_parser("gen", help="generate a puzzle corpus")
     add_common(g)

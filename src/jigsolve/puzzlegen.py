@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import GridShape, as_permutation, id_to_position, random_permutation, reorganize
+from .grid import GridShape, as_permutation, id_to_position, random_permutation
 
 RTEN_MAGIC = b"RTEN"
 RTEN_VERSION = 1
@@ -116,16 +116,6 @@ class PuzzleInstance:
     @property
     def n(self) -> int:
         return self.shape.n
-
-    def apply_prediction(self, prediction: np.ndarray) -> "PuzzleInstance":
-        """Move the patch in slot s to slot prediction[s]."""
-        pred = np.asarray(prediction)
-        new_truth = reorganize(self.truth, pred)
-        new_patches = None
-        if self.patches is not None:
-            new_patches = np.empty_like(self.patches)
-            new_patches[pred] = self.patches
-        return PuzzleInstance(shape=self.shape, truth=new_truth, patches=new_patches, meta=self.meta)
 
     @classmethod
     def scrambled(cls, shape: GridShape, rng: np.random.Generator) -> "PuzzleInstance":
@@ -632,10 +622,15 @@ def load_corpus(root) -> list[PuzzleInstance]:
     for idir in dirs:
         meta = _parse_manifest((idir / "manifest.txt").read_text(), str(idir / "manifest.txt"))
         shape = GridShape(meta.grid)
-        patches = np.stack(
-            [load_image(idir / f"patch_{s:03d}.rten").data for s in range(shape.n)]
-        )
+        if instances and shape != instances[0].shape:
+            raise FormatError(f"{idir}: grid {shape} differs from {instances[0].shape}")
+        paths = [idir / f"patch_{s:03d}.rten" for s in range(shape.n)]
+        tiles = [load_image(path).data for path in paths]
+        tile = instances[0].patches.shape[1:] if instances else tiles[0].shape
+        for path, t in zip(paths, tiles):
+            if t.shape != tile:
+                raise FormatError(f"{path}: patch shape {t.shape} differs from {tile}")
         instances.append(
-            PuzzleInstance(shape=shape, truth=meta.truth, patches=patches, meta=meta)
+            PuzzleInstance(shape=shape, truth=meta.truth, patches=np.stack(tiles), meta=meta)
         )
     return instances

@@ -17,7 +17,7 @@ the plain deterministic mixture.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +26,8 @@ import numpy as np
 from .cost import neg_log, row_softmax
 from .grid import NUM_REL_CLASSES, GridShape, ordered_pairs, relation_table
 from .puzzlegen import FormatError, PuzzleInstance
-from .search import SolverOptions, predict
+from . import search
+from .search import SolverOptions
 
 MODEL_MAGIC = b"JSW1"
 MODEL_VERSION = 1
@@ -159,12 +160,16 @@ class OracleScorer:
         if not np.isfinite(self.jitter):
             raise ValueError(f"oracle jitter must be finite, got {self.jitter}")
 
-    def score(self, puzzle: PuzzleInstance) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    def rows(self, puzzle: PuzzleInstance) -> np.ndarray:
+        """The oracle's rows are the truth: each slot's original cell ID."""
         if puzzle.truth is None:
             raise ValueError("oracle scoring needs the ground-truth configuration")
+        return puzzle.truth
+
+    def score(self, rows: np.ndarray, shape: GridShape) -> tuple[np.ndarray, Optional[np.ndarray]]:
         return oracle_score(
-            puzzle.truth,
-            puzzle.shape,
+            rows,
+            shape,
             self.noise,
             rng=self.rng,
             jitter=self.jitter,
@@ -232,8 +237,11 @@ class LinearScorer:
             binary_b=rng.uniform(-scale, scale, size=NUM_REL_CLASSES),
         )
 
-    def score(self, puzzle: PuzzleInstance) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        return linear_score(self, features_of(puzzle))
+    def rows(self, puzzle: PuzzleInstance) -> np.ndarray:
+        return features_of(puzzle)
+
+    def score(self, rows: np.ndarray, shape: GridShape) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        return linear_score(self, rows)
 
 
 def _pair_concat(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -356,35 +364,16 @@ def _sample_pass(
     feats: np.ndarray,
     truth: np.ndarray,
     shape: GridShape,
-    rounds: int,
-    solver_opts: SolverOptions,
+    opts: SolverOptions,
 ) -> tuple[float, Grads]:
     # One sample's round-averaged loss/grad under iterative reorganization:
-    # score the current arrangement, step the optimizer, move the patches
-    # toward the prediction, repeat.
-    total_loss = 0.0
-    total_grads: Optional[Grads] = None
-    done = 0
-    for _ in range(rounds):
-        U, V = linear_score(model, feats)
-        loss, grads = _loss_and_grad(model, feats, truth, shape, U, V)
-        total_loss += loss
-        if total_grads is None:
-            total_grads = grads
-        else:
-            total_grads += grads
-        done += 1
-        pred, _ = predict(U, V, shape, solver_opts)
-        if (pred == np.arange(shape.n)).all():
-            break
-        nxt = np.empty_like(feats)
-        nxt[pred] = feats
-        feats = nxt
-        new_truth = np.empty_like(truth)
-        new_truth[pred] = truth
-        truth = new_truth
-    assert total_grads is not None
-    return total_loss / done, total_grads.scaled(1.0 / done)
+    # the solver's own loop, with the loss of each arrangement it scores.
+    passes = [_loss_and_grad(model, F, t, shape, U, V)
+              for F, t, U, V, _, _ in search.rounds(model, feats, truth, shape, opts)]
+    grads = passes[0][1]
+    for _, g in passes[1:]:
+        grads += g
+    return sum(loss for loss, _ in passes) / len(passes), grads.scaled(1.0 / len(passes))
 
 
 def train_sgd(
@@ -398,8 +387,7 @@ def train_sgd(
     shape = corpus[0].shape
     if any(inst.shape != shape for inst in corpus):
         raise ValueError("corpus mixes grid shapes")
-    if solver_opts is None:
-        solver_opts = SolverOptions()
+    replay_opts = replace(solver_opts or SolverOptions(), max_rounds=opts.train_rounds)
 
     all_feats = [features_of(inst) for inst in corpus]
     d = all_feats[0].shape[1]
@@ -414,14 +402,7 @@ def train_sgd(
             batch = order[lo : lo + opts.batch_size]
             acc: Optional[Grads] = None
             for i in batch:
-                loss, grads = _sample_pass(
-                    model,
-                    all_feats[i],
-                    corpus[i].truth,
-                    shape,
-                    opts.train_rounds,
-                    solver_opts,
-                )
+                loss, grads = _sample_pass(model, all_feats[i], corpus[i].truth, shape, replay_opts)
                 losses.append(loss)
                 if acc is None:
                     acc = grads
@@ -464,6 +445,7 @@ def load_model(path) -> LinearScorer:
             raise FormatError(f"{path}: bad grid rank {rank}")
         ext = struct.unpack_from(f"<{rank}I", blob, 12)
         d, recipe = struct.unpack_from("<II", blob, 12 + 4 * rank)
+        feature_dim(recipe, 1)  # rejects an unknown recipe
         off = 20 + 4 * rank
         shape = GridShape(ext)
         n = shape.n
@@ -478,6 +460,8 @@ def load_model(path) -> LinearScorer:
         raise FormatError(f"{path}: truncated model file") from exc
     except ValueError as exc:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
+    if off != len(blob):
+        raise FormatError(f"{path}: {len(blob) - off} trailing bytes after the model")
     return LinearScorer(
         shape=shape, recipe=int(recipe), d=int(d),
         unary_w=arrays[0], unary_b=arrays[1], binary_w=arrays[2], binary_b=arrays[3],

@@ -4,16 +4,19 @@ A round validates and takes ``-ln`` of each table once, seeds from the
 Hungarian solution of the unary terms, and ranks every permutation within a
 limited Hamming distance of the seed (radius 0 unless 2D binary terms apply)
 with one cost kernel over a cached identity-ball index; the parts at the
-winner are the round's cost.  The prediction is then applied physically --
-patches move to their predicted slots -- until the predictor proposes the
-identity or a round cap is reached.
+winner are the round's cost.
+
+``rounds`` is the one reorganization loop, for solving and training replay
+alike: each round scores a puzzle's per-slot rows (computed once per puzzle)
+and predicts, then the rows and the truth move with the patches to their
+predicted slots, until the predictor proposes the identity or a round cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Protocol, TYPE_CHECKING
+from typing import Iterator, Optional, Protocol, TYPE_CHECKING
 
 import numpy as np
 
@@ -83,9 +86,12 @@ class SolveTrace:
 
 
 class ScoreProvider(Protocol):
-    """Anything that can turn an arranged puzzle into score tables."""
+    """Per-slot rows of a puzzle, once; score tables from rows in slot order, per round."""
 
-    def score(self, puzzle: "PuzzleInstance") -> tuple[np.ndarray, Optional[np.ndarray]]:
+    def rows(self, puzzle: "PuzzleInstance") -> np.ndarray:
+        ...
+
+    def score(self, rows: np.ndarray, shape: GridShape) -> tuple[np.ndarray, Optional[np.ndarray]]:
         ...
 
 
@@ -203,6 +209,30 @@ def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
     return np.array(min(table[best].tolist()), dtype=np.int64)
 
 
+def _provider_call(round_no: int, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise RuntimeError(f"score provider failed at round {round_no}") from exc
+
+
+def rounds(provider: ScoreProvider, rows, truth, shape: GridShape, opts: SolverOptions) -> Iterator[tuple]:
+    """Score -> predict -> reorganize, yielding ``(rows, truth, U, V, prediction, cost)``.
+
+    After each round the patch in slot ``s`` moves to slot ``prediction[s]``
+    and its row and truth entry move with it.  Stops after a round that
+    proposes the identity, or after ``opts.max_rounds`` rounds.
+    """
+    for idx in range(opts.max_rounds):
+        U, V = _provider_call(idx + 1, provider.score, rows, shape)
+        pred, cost = predict(U, V, shape, opts)
+        yield rows, truth, U, V, pred, cost
+        if is_identity(pred):
+            return
+        back = np.argsort(pred)
+        rows, truth = rows[back], truth[back]
+
+
 def solve_iterative(provider: ScoreProvider, puzzle: "PuzzleInstance", opts: SolverOptions) -> SolveTrace:
     """Iterate score -> predict -> reorganize until the identity is proposed.
 
@@ -210,31 +240,16 @@ def solve_iterative(provider: ScoreProvider, puzzle: "PuzzleInstance", opts: Sol
     further moves.  On 3D grids binary terms are silently dropped and the
     trace carries ``binary_degraded=True``.
     """
-    state = puzzle
-    shape = state.shape
-    rounds: list[RoundRecord] = []
-    converged = False
-    degraded = False
-    for idx in range(opts.max_rounds):
-        try:
-            U, V = provider.score(state)
-        except Exception as exc:
-            raise RuntimeError(f"score provider failed at round {idx + 1}") from exc
-        if shape.is_3d and opts.use_binary:
-            degraded = True
-            V = None
-        pred, breakdown = predict(U, V, shape, opts)
-        ham = hamming(pred, state.truth) if state.truth is not None else None
-        rounds.append(RoundRecord(prediction=pred, cost=breakdown, hamming_to_truth=ham))
-        if is_identity(pred):
-            converged = True
-            break
-        state = state.apply_prediction(pred)
-    solved = bool(is_identity(state.truth)) if state.truth is not None else None
+    records: list[RoundRecord] = []
+    rows = _provider_call(1, provider.rows, puzzle)
+    for _, truth, _, _, pred, cost in rounds(provider, rows, puzzle.truth, puzzle.shape, opts):
+        records.append(RoundRecord(prediction=pred, cost=cost, hamming_to_truth=hamming(pred, truth)))
+    # Apply the last round's move (none when it proposed the identity).
+    truth = truth[np.argsort(pred)]
     return SolveTrace(
-        rounds=rounds,
-        converged=converged,
-        solved=solved,
-        final_truth=None if state.truth is None else np.asarray(state.truth).copy(),
-        binary_degraded=degraded,
+        rounds=records,
+        converged=is_identity(pred),
+        solved=is_identity(truth),
+        final_truth=truth,
+        binary_degraded=puzzle.shape.is_3d and opts.use_binary,
     )

@@ -7,6 +7,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jigsolve.cli import (
@@ -16,6 +17,9 @@ from jigsolve.cli import (
     build_parser,
     main,
 )
+from jigsolve.grid import GridShape
+from jigsolve.puzzlegen import ImageTensor, load_image, save_rten
+from jigsolve.scorer import LinearScorer, save_model
 
 GEN_FLAGS = [
     "--cell", "12", "--crop", "8", "--mirror-p", "0", "--no-mean-subtract",
@@ -36,6 +40,12 @@ def read_report(path: Path):
     aggregates = [r for r in records if r["type"] == "aggregate"]
     puzzles = [r for r in records if r["type"] == "puzzle"]
     return puzzles, aggregates
+
+
+def random_model(path: Path) -> Path:
+    # A model that fits ``corpus_dir``: 2x2 grid, one-channel 2D features.
+    save_model(LinearScorer.init_random(GridShape((2, 2)), 22, np.random.default_rng(0)), path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +181,27 @@ class TestSolve:
         code = main(["solve", "--corpus", str(corpus_dir), "--model", str(bad),
                      "--report", str(tmp_path / "r.jsonl")])
         assert code == EXIT_DATA
+
+    def test_model_feature_width_mismatch_is_data_error(self, corpus_dir, tmp_path, capsys):
+        model = random_model(tmp_path / "m.jsw1")
+        root = tmp_path / "rgb"
+        shutil.copytree(corpus_dir, root)
+        for path in root.glob("inst_*/patch_*.rten"):
+            save_rten(ImageTensor(load_image(path).data.repeat(3, axis=-1)), path)
+        code = main(["solve", "--corpus", str(root), "--model", str(model),
+                     "--report", str(tmp_path / "r.jsonl")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "width" in err and err.count("\n") == 1
+
+    def test_model_trailing_bytes_is_data_error(self, corpus_dir, tmp_path, capsys):
+        model = random_model(tmp_path / "m.jsw1")
+        model.write_bytes(model.read_bytes() + b"\x00" * 7)
+        code = main(["solve", "--corpus", str(corpus_dir), "--model", str(model),
+                     "--report", str(tmp_path / "r.jsonl")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "trailing" in err and err.count("\n") == 1
 
     def test_thread_count_does_not_change_report(self, tmp_path):
         reports = []
@@ -316,3 +347,13 @@ class TestBadInput:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:") and "manifest" in err and err.count("\n") == 1
+
+    def test_patch_of_another_shape_is_data_error(self, corpus_dir, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, root)
+        save_rten(ImageTensor(np.zeros((5, 8, 1))), root / "inst_00000" / "patch_001.rten")
+        code = main(["solve", "--corpus", str(root), "--oracle", "0.5",
+                     "--report", str(tmp_path / "r.jsonl")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "patch_001.rten" in err and err.count("\n") == 1

@@ -308,6 +308,22 @@ class TestCorpusStorage:
         assert back[0].shape.is_3d
         assert (back[0].patches == corpus[0].patches).all()
 
+    def test_patch_shapes_must_agree(self, tmp_path):
+        corpus = generate_corpus("mixed", S2, 2, 19, SMALL_GEN)
+        root = tmp_path / "corpus"
+        for bad in ("inst_00000/patch_001.rten", "inst_00001/patch_000.rten"):
+            save_corpus(root, corpus)
+            save_rten(ImageTensor(np.zeros((8, 8, 3))), root / bad)
+            with pytest.raises(FormatError, match=bad):
+                load_corpus(root)
+
+    def test_grids_must_agree(self, tmp_path):
+        save_corpus(tmp_path / "a", generate_corpus("mixed", S2, 2, 20, SMALL_GEN))
+        save_corpus(tmp_path / "b", generate_corpus("mixed", GridShape((3, 3)), 1, 20, SMALL_GEN))
+        (tmp_path / "b" / "inst_00000").rename(tmp_path / "a" / "inst_00002")
+        with pytest.raises(FormatError, match="inst_00002: grid 3x3 differs from 2x2"):
+            load_corpus(tmp_path / "a")
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises((FileNotFoundError, NotADirectoryError, FormatError)):
             load_corpus(tmp_path / "nope")

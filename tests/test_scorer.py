@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from jigsolve import scorer
+from jigsolve import scorer, search
 from jigsolve.cost import validate_binary, validate_unary
 from jigsolve.grid import GridShape, hamming, random_permutation, relative_type
 from jigsolve.puzzlegen import FormatError, GenOptions, generate_corpus
@@ -277,7 +277,7 @@ class TestTrainSgd:
 
     def test_one_forward_pass_per_replay_round(self, monkeypatch):
         calls = {"softmax": 0, "predict": 0}
-        real_softmax, real_predict = scorer.row_softmax, scorer.predict
+        real_softmax, real_predict = scorer.row_softmax, search.predict
 
         def softmax(z):
             calls["softmax"] += 1
@@ -288,7 +288,7 @@ class TestTrainSgd:
             return real_predict(*args)
 
         monkeypatch.setattr(scorer, "row_softmax", softmax)
-        monkeypatch.setattr(scorer, "predict", counted_predict)
+        monkeypatch.setattr(search, "predict", counted_predict)
         train_sgd(self.corpus(8), TrainOptions(epochs=1, train_rounds=3, seed=2),
                   SolverOptions())
         # one unary and one binary softmax per round, each round one predict
@@ -359,6 +359,21 @@ class TestSerialization:
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.jsw1"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
+        with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model = LinearScorer.init_random(S2, 22, np.random.default_rng(50))
+        path = tmp_path / "m.jsw1"
+        save_model(model, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 7)
+        with pytest.raises(FormatError, match="7 trailing bytes"):
+            load_model(path)
+
+    def test_unknown_recipe_rejected(self, tmp_path):
+        model = LinearScorer.init_random(S2, 22, np.random.default_rng(51), recipe=9)
+        path = tmp_path / "m.jsw1"
+        save_model(model, path)
         with pytest.raises(FormatError):
             load_model(path)
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jigsolve import assign, search
+from jigsolve import assign, scorer, search
 from jigsolve.assign import unary_argmin
 from jigsolve.cost import neg_log, row_softmax, softmax9, total_cost
 from jigsolve.grid import (
@@ -17,9 +17,10 @@ from jigsolve.grid import (
     hamming_ball_size,
     random_permutation,
     relation_table,
+    reorganize,
 )
-from jigsolve.puzzlegen import PuzzleInstance
-from jigsolve.scorer import OracleScorer, oracle_score
+from jigsolve.puzzlegen import GenOptions, PuzzleInstance, generate_corpus
+from jigsolve.scorer import LinearScorer, OracleScorer, features_of, linear_score, oracle_score
 from jigsolve.search import (
     SolverOptions,
     brute_force_argmin,
@@ -351,7 +352,10 @@ class TestSolveIterative:
 
     def test_provider_failure_reports_round(self):
         class Broken:
-            def score(self, puzzle):
+            def rows(self, puzzle):
+                return puzzle.truth
+
+            def score(self, rows, shape):
                 raise RuntimeError("boom")
 
         inst = PuzzleInstance.scrambled(S3, np.random.default_rng(34))
@@ -385,3 +389,93 @@ class TestSolverOptions:
         assert (
             total_cost(U, V, full, S3).total <= total_cost(U, V, capped, S3).total + 1e-12
         )
+
+
+def reference_solve(score, puzzle, opts):
+    # The loop as it was before per-slot rows: every round re-scores the
+    # whole moved puzzle, then moves its patches and truth to the predicted
+    # slots.
+    truth, patches = puzzle.truth, puzzle.patches
+    preds, costs = [], []
+    for _ in range(opts.max_rounds):
+        U, V = score(PuzzleInstance(shape=puzzle.shape, truth=truth, patches=patches))
+        pred, cost = predict(U, None if puzzle.shape.is_3d else V, puzzle.shape, opts)
+        preds.append(pred)
+        costs.append(cost)
+        if (pred == np.arange(puzzle.n)).all():
+            break
+        truth = reorganize(truth, pred)
+        if patches is not None:
+            moved = np.empty_like(patches)
+            moved[pred] = patches
+            patches = moved
+    return preds, costs, truth
+
+
+SMALL_GEN = GenOptions(cell=12, crop=8, mirror_p=0.0, mean_subtract=False)
+
+
+def learned_case(shape, count, seed, scale):
+    corpus = generate_corpus("mixed", shape, count, seed, SMALL_GEN if not shape.is_3d
+                             else GenOptions())
+    d = features_of(corpus[0]).shape[1]
+    return corpus, LinearScorer.init_random(shape, d, np.random.default_rng(seed), scale=scale)
+
+
+class TestOneLoop:
+    """``solve_iterative`` over per-slot rows against the re-scoring loop."""
+
+    def check(self, provider, score, puzzles, opts):
+        rounds = 0
+        for inst in puzzles:
+            trace = solve_iterative(provider(), inst, opts)
+            preds, costs, final = reference_solve(score(), inst, opts)
+            assert [r.prediction.tolist() for r in trace.rounds] == [p.tolist() for p in preds]
+            assert [r.cost for r in trace.rounds] == costs
+            assert trace.final_truth.tolist() == final.tolist()
+            rounds += trace.rounds_used
+        # Some puzzles must move their patches for the comparison to bite.
+        assert rounds > len(puzzles)
+
+    @pytest.mark.parametrize("spec,count,scale", [("2x2", 6, 1.0), ("3x3", 3, 0.5),
+                                                  ("2x2x2", 2, 1.0)])
+    def test_learned(self, spec, count, scale):
+        corpus, model = learned_case(GridShape.parse(spec), count, 61, scale)
+        self.check(lambda: model,
+                   lambda: lambda inst: linear_score(model, features_of(inst)),
+                   corpus, SolverOptions(max_rounds=6))
+
+    @pytest.mark.parametrize("spec,eps", [("3x3", 0.5), ("3x3x3", 0.3)])
+    def test_oracle(self, spec, eps):
+        shape = GridShape.parse(spec)
+        puzzles = [PuzzleInstance.scrambled(shape, np.random.default_rng([62, i]))
+                   for i in range(4)]
+
+        def reference():
+            rng = np.random.default_rng(63)
+            return lambda inst: oracle_score(inst.truth, shape, eps, rng=rng)
+
+        self.check(lambda: OracleScorer(eps, rng=np.random.default_rng(63)), reference,
+                   puzzles, SolverOptions())
+
+    def test_features_once_per_puzzle(self, monkeypatch):
+        corpus, model = learned_case(S2, 4, 64, 1.0)
+        calls = []
+        real = scorer.extract_features
+        monkeypatch.setattr(scorer, "extract_features", lambda p: calls.append(1) or real(p))
+        traces = [solve_iterative(model, inst, SolverOptions()) for inst in corpus]
+        assert sum(t.rounds_used for t in traces) > len(corpus)
+        assert len(calls) == S2.n * len(corpus)
+
+    def test_rows_failure_reports_round_one(self):
+        class Broken:
+            def rows(self, puzzle):
+                raise ValueError("no rows")
+
+            def score(self, rows, shape):
+                raise AssertionError("score must not run")
+
+        inst = PuzzleInstance.scrambled(S3, np.random.default_rng(65))
+        with pytest.raises(RuntimeError, match="round 1") as info:
+            solve_iterative(Broken(), inst, SolverOptions())
+        assert isinstance(info.value.__cause__, ValueError)
