@@ -68,6 +68,27 @@ def _synth_kind(flag: str) -> str:
     return kind
 
 
+def _check_gen_2d(shape, opts) -> None:
+    """Reject a 2D ``--cell``/``--crop`` that a synthetic corpus cannot be cut with or described by."""
+    try:
+        scorer.check_tile((opts.crop, opts.crop, 1))
+    except ValueError as exc:
+        raise UsageError(f"--crop {opts.crop}: {exc}") from None
+    size = puzzlegen.synth_size_2d(shape, opts)
+    if size < puzzlegen.MIN_SYNTH_SIZE:
+        raise UsageError(f"--cell {opts.cell} on a {shape} grid gives a synthetic image of "
+                         f"{size} pixels a side, below the minimum of {puzzlegen.MIN_SYNTH_SIZE}")
+
+
+def _check_tiles(path, instances) -> None:
+    """The descriptor's minimum tile extent, as a data error naming the corpus."""
+    # load_corpus holds every patch of a corpus to one shape.
+    try:
+        scorer.check_tile(instances[0].patches.shape[1:])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def cmd_gen(args) -> int:
     shape = _options(GridShape.parse, args.grid)
     opts = _options(
@@ -80,6 +101,8 @@ def cmd_gen(args) -> int:
         mean_scope=args.mean_scope,
         scramble=not args.no_scramble,
     )
+    if not shape.is_3d:  # 3D grids cut cells and crops of fixed size
+        _check_gen_2d(shape, opts)
     kind = _synth_kind(args.volume_kind if shape.is_3d and args.volume_kind else args.kind)
     instances = puzzlegen.generate_corpus(kind, shape, args.count, args.seed, opts)
     puzzlegen.save_corpus(args.out, instances)
@@ -99,6 +122,7 @@ def cmd_train(args) -> int:
     )
     solver_opts = _options(SolverOptions, radius=args.radius, use_binary=not args.no_binary)
     corpus = puzzlegen.load_corpus(args.corpus)
+    _check_tiles(args.corpus, corpus)
     shape = corpus[0].shape
     if args.grid and _options(GridShape.parse, args.grid) != shape:
         raise FormatError(f"corpus grid {shape} does not match --grid {args.grid}")
@@ -200,9 +224,10 @@ def _load_solve_inputs(args):
         count = args.count if args.count is not None else 100
     if model is not None and model.shape != shape:
         raise FormatError(f"model grid {model.shape} does not match corpus grid {shape}")
-    # load_corpus holds every patch of a corpus to one shape.
-    if model is not None and model.d != scorer.feature_dim(model.recipe, instances[0].patches.shape[-1]):
-        raise FormatError(f"{args.model}: feature width {model.d} does not fit the corpus's patches")
+    if model is not None:
+        if model.d != scorer.feature_dim(model.recipe, instances[0].patches.shape[-1]):
+            raise FormatError(f"{args.model}: feature width {model.d} does not fit the corpus's patches")
+        _check_tiles(args.corpus, instances)
     return model, instances, shape, count
 
 
@@ -344,6 +369,18 @@ def cmd_selftest(args) -> int:
             trace = search.solve_iterative(OracleScorer(0.0), inst, SolverOptions())
             assert trace.solved and trace.converged, f"eps=0 failed on {spec}"
 
+    def descriptor_batch_invariance():
+        # The descriptor reduces a whole puzzle's stack at once; each row must
+        # have the bytes of the same tile described alone.
+        for spec, tile in (("3x3", (21, 19, 3)), ("2x2x2", (7, 9, 8, 2))):
+            shape = GridShape.parse(spec)
+            patches = rng.standard_normal((shape.n,) + tile).astype(np.float32)
+            inst = PuzzleInstance(shape=shape, truth=np.arange(shape.n), patches=patches)
+            rows = scorer.features_of(inst)
+            for i, patch in enumerate(patches):
+                alone = scorer.extract_features(patch)
+                assert rows[i].tobytes() == alone.tobytes(), f"{spec}: row {i} differs alone"
+
     check("assignment optimality vs brute force (n<=5, tol 1e-12)",
           lambda: assignment_optimality(lambda n: rng.random((n, n))))
     check("tie rule on integer {0,1,2} matrices vs brute force (n<=5, exact)",
@@ -351,6 +388,8 @@ def cmd_selftest(args) -> int:
     check("hamming ball cardinalities vs formula and S_n filter (exact)", ball_cardinalities)
     check("analytic gradients vs central differences (rel err < 1e-4)", gradient_check)
     check("perfect oracle solves scrambles (exact)", perfect_oracle)
+    check("patch descriptor of a stack vs each tile alone (2D and 3D, same bytes)",
+          descriptor_batch_invariance)
 
     failed = [c for c in checks if not c[1]]
     for name, ok, msg in checks:

@@ -30,6 +30,7 @@ VOLUME_REGION = 120
 _3D_CROP = {2: 48, 3: 32}
 
 SYNTH_KINDS = ("gradient", "blobs", "mixed")
+MIN_SYNTH_SIZE = 16  # smallest side of a synthetic image or volume
 
 
 class FormatError(ValueError):
@@ -308,8 +309,8 @@ def _blob_field(rng: np.random.Generator, size: int, dims: int) -> np.ndarray:
 def _synth_field(kind: str, size: int, seed: int, dims: int) -> np.ndarray:
     if kind not in SYNTH_KINDS:
         raise ValueError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
-    if size < 16:
-        raise ValueError("size must be >= 16")
+    if size < MIN_SYNTH_SIZE:
+        raise ValueError(f"size must be >= {MIN_SYNTH_SIZE}")
     rng = _synth_rng(kind, size, seed, dims)
     if kind == "gradient":
         return _gradient_field(rng, size, dims)
@@ -505,6 +506,12 @@ def regenerate(meta: PuzzleMeta) -> PuzzleInstance:
     return PuzzleInstance(shape=shape, truth=meta.truth.copy(), patches=patches, meta=meta)
 
 
+def synth_size_2d(shape: GridShape, opts: GenOptions) -> int:
+    """Side of the square synthetic image that a 2D corpus on ``shape`` is cut from."""
+    W, H = shape.extents
+    return max(opts.cell * W, opts.cell * H)
+
+
 def generate_corpus(
     kind: str,
     shape: GridShape,
@@ -523,7 +530,7 @@ def generate_corpus(
             inst = make_puzzle_3d(vol, shape.extents[0], rng, opts, source=src)
         else:
             W, H = shape.extents
-            size = max(opts.cell * W, opts.cell * H)
+            size = synth_size_2d(shape, opts)
             img = synth_image(kind, size, src_seed)
             src = {"kind": kind, "size": size, "seed": src_seed}
             inst = make_puzzle_2d(img, W, H, rng, opts, source=src)

@@ -36,6 +36,7 @@ FEATURE_RECIPE_2D = 1
 FEATURE_RECIPE_3D = 2
 
 EDGE_STRIP = 2  # boundary strip width, pixels
+POOL_CELLS = {2: 4, 3: 2}  # pooled map cells per axis, by spatial rank
 DEFAULT_ORACLE_JITTER = 8.0
 
 
@@ -47,53 +48,73 @@ def feature_dim(recipe: int, channels: int) -> int:
     raise ValueError(f"unknown feature recipe {recipe}")
 
 
-def _pooled(gray: np.ndarray, cells_per_axis: int) -> np.ndarray:
-    # Block-average a (possibly non-divisible) array down to cells_per_axis
-    # per spatial axis.
-    out = gray
-    for ax in range(gray.ndim):
-        chunks = np.array_split(out, cells_per_axis, axis=ax)
-        out = np.stack([c.mean(axis=ax) for c in chunks], axis=ax)
-    return out
+def check_tile(tile: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless a ``(H, W, C)`` or ``(Z, H, W, C)`` tile fits the descriptor.
+
+    Every spatial extent must hold the pooling grid: 4 pixels in 2D (4x4
+    map), 2 in 3D (2x2x2 map).  A smaller tile would leave an empty pooling
+    cell, whose mean is NaN.
+    """
+    if len(tile) not in (3, 4) or tile[-1] < 1:
+        raise ValueError("patch must be a non-empty (H,W,C) tile or (Z,H,W,C) volume")
+    cells = POOL_CELLS[len(tile) - 1]
+    if min(tile[:-1]) < cells:
+        raise ValueError(
+            f"patch extent {'x'.join(map(str, tile[:-1]))} is below the descriptor's "
+            f"minimum of {cells} per axis (its {len(tile) - 1}D pooling grid)"
+        )
+
+
+def _descriptors(stack) -> np.ndarray:
+    # (k, d) descriptors of a stack of k tiles, (k, H, W, C) or (k, Z, H, W, C).
+    # Every reduction runs over the spatial axes 1.. of the whole stack; the
+    # leading batch axis keeps each one's inner loop and summation order, so
+    # row i has the same bytes as a stack of tile i alone.
+    arr = np.asarray(stack, dtype=np.float64)
+    check_tile(arr.shape[1:])
+    if not np.isfinite(arr).all():
+        raise ValueError("patch values must be finite")
+    s = EDGE_STRIP
+    spatial = tuple(range(1, arr.ndim - 1))
+    if arr.ndim == 4:
+        strips = [arr[:, :, :s], arr[:, :, -s:], arr[:, :s], arr[:, -s:]]  # L, R, T, B
+    else:
+        strips = [
+            arr[:, :, :, :s], arr[:, :, :, -s:],  # x faces
+            arr[:, :, :s], arr[:, :, -s:],  # y faces
+            arr[:, :s], arr[:, -s:],  # z faces
+        ]
+    # Block-average the channel-mean map down to the pooling grid, one
+    # spatial axis at a time; array_split handles non-divisible extents.
+    cells = POOL_CELLS[len(spatial)]
+    pooled = arr.mean(axis=-1)
+    for ax in spatial:
+        chunks = np.array_split(pooled, cells, axis=ax)
+        pooled = np.stack([c.mean(axis=ax) for c in chunks], axis=ax)
+    parts = [arr.mean(axis=spatial), arr.std(axis=spatial)]
+    parts += [st.mean(axis=spatial) for st in strips]
+    parts.append(pooled.reshape(len(arr), cells ** len(spatial)))
+    return np.concatenate(parts, axis=1)
 
 
 def extract_features(patch: np.ndarray) -> np.ndarray:
-    """Deterministic descriptor of one patch tile.
+    """Deterministic descriptor of one patch tile: ``features_of``'s kernel on a stack of one.
 
     2D (H, W, C): per-channel mean and std, the four 2-pixel boundary strip
     means, and a 4x4 average-pooled grayscale map; d = 6C + 16.
     3D (Z, H, W, C): per-channel mean and std, the six face-strip means, and
     a 2x2x2 pooled intensity map; d = 8C + 8.
+    Raises ``ValueError`` on a non-finite value or a tile below
+    :func:`check_tile`'s minimum extent.
     """
-    arr = np.asarray(patch, dtype=np.float64)
-    if arr.ndim not in (3, 4) or arr.size == 0:
-        raise ValueError("patch must be a non-empty (H,W,C) tile or (Z,H,W,C) volume")
-    if not np.isfinite(arr).all():
-        raise ValueError("patch values must be finite")
-    s = EDGE_STRIP
-    if arr.ndim == 3:
-        spatial = (0, 1)
-        strips = [arr[:, :s], arr[:, -s:], arr[:s, :], arr[-s:, :]]  # L, R, T, B
-        pooled = _pooled(arr.mean(axis=2), 4)
-    else:
-        spatial = (0, 1, 2)
-        strips = [
-            arr[:, :, :s], arr[:, :, -s:],  # x faces
-            arr[:, :s, :], arr[:, -s:, :],  # y faces
-            arr[:s, :, :], arr[-s:, :, :],  # z faces
-        ]
-        pooled = _pooled(arr.mean(axis=3), 2)
-    parts = [arr.mean(axis=spatial), arr.std(axis=spatial)]
-    parts += [st.mean(axis=spatial) for st in strips]
-    parts.append(pooled.ravel())
-    return np.concatenate(parts)
+    return _descriptors(np.asarray(patch)[None])[0]
 
 
 def features_of(puzzle: PuzzleInstance) -> np.ndarray:
-    """(n, d) feature rows ordered by current slot."""
+    """(n, d) feature rows ordered by current slot, in one pass over the stacked patches."""
     if puzzle.patches is None:
         raise ValueError("puzzle carries no pixel data")
-    return np.stack([extract_features(p) for p in puzzle.patches])
+    return _descriptors(puzzle.patches)
 
 
 # ---------------------------------------------------------------------------

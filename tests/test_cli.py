@@ -80,6 +80,23 @@ class TestGen:
         inst = load_corpus(root)[0]
         assert inst.patches.shape == (27, 32, 32, 32, 1)
 
+    def test_3d_ignores_cell_and_crop(self, tmp_path):
+        root = tmp_path / "vol"
+        code = main(["gen", "--grid", "2x2x2", "--count", "1", "--cell", "3", "--crop", "2",
+                     "--out", str(root)])
+        assert code == EXIT_OK
+        from jigsolve.puzzlegen import load_corpus
+
+        assert load_corpus(root)[0].patches.shape == (8, 48, 48, 48, 1)
+
+    def test_smallest_admitted_geometry(self, tmp_path):
+        root = tmp_path / "small"
+        code = main(["gen", "--grid", "2x2", "--count", "2", "--cell", "8", "--crop", "4",
+                     "--out", str(root)])
+        assert code == EXIT_OK
+        model = tmp_path / "m.jsw1"
+        assert main(["train", "--corpus", str(root), "--out", str(model), "--epochs", "1"]) == EXIT_OK
+
     def test_unknown_kind(self, tmp_path):
         code = main(["gen", "--grid", "2x2", "--count", "1", "--kind", "plaid",
                      "--out", str(tmp_path / "x")])
@@ -324,6 +341,10 @@ class TestBadInput:
         ["bench", "--grid", "2x2", "--oracle-jitter", "nan", "--report", "{out}"],
         ["solve", "--grid", "3x3", "--oracle", "0.5", "--oracle-binary", "1.5", "--report", "{out}"],
         ["bench", "--grid", "2x2", "--oracle-binary", "nan", "--report", "{out}"],
+        ["gen", "--grid", "2x2", "--out", "{out}", "--cell", "3", "--crop", "3"],
+        ["gen", "--grid", "2x2", "--out", "{out}", "--crop", "-1"],
+        ["gen", "--grid", "2x2", "--out", "{out}", "--cell", "20", "--crop", "2"],
+        ["gen", "--grid", "2x2", "--out", "{out}", "--cell", "4", "--crop", "4"],
     ])
     def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -347,6 +368,23 @@ class TestBadInput:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:") and "manifest" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "solve"])
+    def test_tiles_below_pooling_grid_are_data_error(self, command, corpus_dir, tmp_path, capsys):
+        root = tmp_path / "tiny"
+        shutil.copytree(corpus_dir, root)
+        for path in root.glob("inst_*/patch_*.rten"):
+            save_rten(ImageTensor(load_image(path).data[:3, :3]), path)
+        model = random_model(tmp_path / "m.jsw1")
+        argv = {
+            "train": ["train", "--corpus", str(root), "--out", str(tmp_path / "new.jsw1")],
+            "solve": ["solve", "--corpus", str(root), "--model", str(model),
+                      "--report", str(tmp_path / "r.jsonl")],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "minimum of 4" in err and err.count("\n") == 1
+        assert not (tmp_path / "new.jsw1").exists() and not (tmp_path / "r.jsonl").exists()
 
     def test_patch_of_another_shape_is_data_error(self, corpus_dir, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -33,6 +33,91 @@ S3 = GridShape((3, 3))
 SMALL_GEN = GenOptions(cell=12, crop=8, mirror_p=0.0, mean_subtract=False)
 
 
+def per_patch_reference(patch: np.ndarray) -> np.ndarray:
+    """The descriptor of one tile, one reduction at a time: the loop the kernel replaced."""
+    arr = np.asarray(patch, dtype=np.float64)
+    s = scorer.EDGE_STRIP
+
+    def pooled(gray, cells):
+        out = gray
+        for ax in range(gray.ndim):
+            chunks = np.array_split(out, cells, axis=ax)
+            out = np.stack([c.mean(axis=ax) for c in chunks], axis=ax)
+        return out
+
+    if arr.ndim == 3:
+        spatial = (0, 1)
+        strips = [arr[:, :s], arr[:, -s:], arr[:s, :], arr[-s:, :]]  # L, R, T, B
+        pool = pooled(arr.mean(axis=2), 4)
+    else:
+        spatial = (0, 1, 2)
+        strips = [
+            arr[:, :, :s], arr[:, :, -s:],  # x faces
+            arr[:, :s, :], arr[:, -s:, :],  # y faces
+            arr[:s, :, :], arr[-s:, :, :],  # z faces
+        ]
+        pool = pooled(arr.mean(axis=3), 2)
+    parts = [arr.mean(axis=spatial), arr.std(axis=spatial)]
+    parts += [st.mean(axis=spatial) for st in strips]
+    parts.append(pool.ravel())
+    return np.concatenate(parts)
+
+
+class TestDescriptorKernel:
+    """``scorer._descriptors`` over a stack against the per-tile reference, byte for byte."""
+
+    TILES = [
+        (64, 64, 1), (20, 20, 3),  # 2D, C = 1 and 3
+        (21, 19, 3), (33, 17, 1),  # 2D, extents not divisible by the 4x4 grid
+        (4, 4, 1), (4, 5, 3),  # 2D at the minimum extent
+        (16, 16, 16, 1), (10, 12, 9, 2),  # 3D, C = 1 and 2, the second not divisible
+        (7, 9, 8, 1), (2, 2, 2, 2),  # 3D, odd extents and the minimum
+    ]
+
+    @pytest.mark.parametrize("tile", TILES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_reference(self, tile, dtype):
+        rng = np.random.default_rng(len(tile) * 100 + sum(tile))
+        stack = (rng.standard_normal((9,) + tile) * 3.0 + 0.7).astype(dtype)
+        got = scorer._descriptors(stack)
+        want = np.stack([per_patch_reference(p) for p in stack])
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tile", TILES)
+    def test_row_equals_tile_alone(self, tile):
+        rng = np.random.default_rng(sum(tile))
+        stack = rng.random((8,) + tile).astype(np.float32)
+        rows = scorer._descriptors(stack)
+        for i in range(len(stack)):
+            assert rows[i].tobytes() == scorer._descriptors(stack[i : i + 1])[0].tobytes()
+            assert rows[i].tobytes() == extract_features(stack[i]).tobytes()
+
+    @pytest.mark.parametrize("tile,minimum", [
+        ((3, 8, 1), 4), ((8, 3, 3), 4), ((0, 8, 1), 4),
+        ((1, 4, 4, 1), 2), ((4, 4, 1, 2), 2),
+    ])
+    def test_tile_below_pooling_grid_is_rejected(self, tile, minimum):
+        with pytest.raises(ValueError, match=f"minimum of {minimum} per axis"):
+            scorer._descriptors(np.ones((2,) + tile))
+        with pytest.raises(ValueError, match=f"minimum of {minimum} per axis"):
+            scorer.check_tile(tile)
+
+    def test_empty_stack_has_no_rows(self):
+        assert scorer._descriptors(np.zeros((0, 8, 8, 3))).shape == (0, feature_dim(FEATURE_RECIPE_2D, 3))
+        assert scorer._descriptors(np.zeros((0, 4, 4, 4, 1))).shape == (0, feature_dim(FEATURE_RECIPE_3D, 1))
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            scorer._descriptors(np.zeros((2, 8, 8)))
+        with pytest.raises(ValueError, match="non-empty"):
+            scorer._descriptors(np.zeros((2, 8, 8, 0)))
+        bad = np.zeros((3, 8, 8, 1))
+        bad[2, 5, 5, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            scorer._descriptors(bad)
+
+
 class TestExtractFeatures:
     def test_dimension_2d(self):
         patch = np.zeros((64, 64, 3))

@@ -461,11 +461,12 @@ class TestOneLoop:
     def test_features_once_per_puzzle(self, monkeypatch):
         corpus, model = learned_case(S2, 4, 64, 1.0)
         calls = []
-        real = scorer.extract_features
-        monkeypatch.setattr(scorer, "extract_features", lambda p: calls.append(1) or real(p))
+        real = scorer._descriptors
+        monkeypatch.setattr(scorer, "_descriptors", lambda s: calls.append(s.shape) or real(s))
         traces = [solve_iterative(model, inst, SolverOptions()) for inst in corpus]
         assert sum(t.rounds_used for t in traces) > len(corpus)
-        assert len(calls) == S2.n * len(corpus)
+        # One kernel call per puzzle, over all of its patches at once.
+        assert calls == [inst.patches.shape for inst in corpus]
 
     def test_rows_failure_reports_round_one(self):
         class Broken:
