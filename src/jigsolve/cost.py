@@ -47,6 +47,17 @@ def softmax9(logits) -> np.ndarray:
     return row_softmax(z[None, :])[0]
 
 
+def _sums_near_one(sums: np.ndarray, off_diagonal: bool = False) -> bool:
+    # ``sums`` must be summed as the ordered checks sum each row, so both
+    # agree on every row at the tolerance's edge.
+    dev = sums.ravel()
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    if off_diagonal:
+        dev[:: len(sums) + 1] = 0.0
+    return bool(dev.max() <= ROW_SUM_TOL)
+
+
 def validate_unary(U, n: int | None = None) -> np.ndarray:
     """Check the row-stochastic unary-matrix invariants and return the array."""
     arr = np.asarray(U, dtype=np.float64)
@@ -54,6 +65,11 @@ def validate_unary(U, n: int | None = None) -> np.ndarray:
         raise ValueError(f"unary matrix must be square, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"unary matrix is {arr.shape[0]}x{arr.shape[0]}, expected n={n}")
+    # One fused test accepts exactly the tables the ordered checks below
+    # accept (min and max propagate NaN); those run only to word the error.
+    flat = arr.ravel()
+    if flat.size and flat.min() >= 0 and flat.max() <= 1 + ROW_SUM_TOL and _sums_near_one(arr.sum(axis=1)):
+        return arr
     if not np.isfinite(arr).all():
         raise ValueError("unary matrix must be finite")
     if (arr < 0).any() or (arr > 1 + ROW_SUM_TOL).any():
@@ -73,6 +89,13 @@ def validate_binary(V, n: int | None = None) -> np.ndarray:
         raise ValueError(f"binary table must have shape (n, n, 9), got {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"binary table is for n={arr.shape[0]}, expected n={n}")
+    # As in validate_unary; a negative diagonal entry only takes the slow
+    # path.  Each 9-vector is summed as one contiguous run, as in the
+    # gathered pair block below.
+    flat = arr.ravel()
+    sums = np.ascontiguousarray(arr).sum(axis=2)
+    if flat.size and flat.min() >= 0 and flat.max() < np.inf and _sums_near_one(sums, off_diagonal=True):
+        return arr
     if not np.isfinite(arr).all():
         raise ValueError("binary table must be finite")
     pairs = arr[ordered_pairs(arr.shape[0])]

@@ -143,25 +143,31 @@ def oracle_score(
     n = shape.n
 
     def noisy(base: np.ndarray, e: float) -> np.ndarray:
+        # Jitters the fresh ``base`` in place.
         amp = jitter * e * (1.0 - e)
         if rng is None or amp == 0.0:
             return base
-        z = np.log(np.maximum(base, 1e-300)) + amp * rng.standard_normal(base.shape)
+        z = np.log(np.maximum(base, 1e-300, out=base), out=base)
+        z += amp * rng.standard_normal(base.shape)
         z -= z.max(axis=-1, keepdims=True)
-        ez = np.exp(z)
-        return ez / ez.sum(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+        return z
 
     U = np.full((n, n), eps / n)
-    U[np.arange(n), t] += 1.0 - eps
+    U[np.arange(n), t] = eps / n + (1.0 - eps)
     U = noisy(U, eps)
 
     if shape.is_3d:
         return U, None
-    rel = relation_table(shape)
-    V = np.full((n, n, NUM_REL_CLASSES), binary_eps / NUM_REL_CLASSES)
+    # The (n(n-1), 9) block of the ordered pairs is built and jittered on
+    # its own, then written into V once; the diagonal keeps the uniform mass.
     p, q = ordered_pairs(n)
-    V[p, q, rel[t[p], t[q]]] += 1.0 - binary_eps
-    V[p, q] = noisy(V[p, q], binary_eps)
+    fill = binary_eps / NUM_REL_CLASSES
+    block = np.full((len(p), NUM_REL_CLASSES), fill)
+    block[np.arange(len(p)), relation_table(shape)[t[p], t[q]]] = fill + (1.0 - binary_eps)
+    V = np.full((n, n, NUM_REL_CLASSES), fill)
+    V[p, q] = noisy(block, binary_eps)
     return U, V
 
 

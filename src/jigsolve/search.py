@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Protocol, TYPE_CHECKING
+from typing import Iterator, NamedTuple, Optional, Protocol, TYPE_CHECKING
 
 import numpy as np
 
@@ -95,42 +95,83 @@ class ScoreProvider(Protocol):
         ...
 
 
+class _Ball(NamedTuple):
+    """Gather plan of the identity ball for one ``(n, radius)``, cached read-only."""
+
+    table: np.ndarray  # (|B|, n) ball rows T
+    unary: np.ndarray  # (|B|, n) flat unary index j*n + T[i, j]
+    pairs: np.ndarray  # (|B|, n(n-1)) pair index k*n*n + T[i,p_k]*n + T[i,q_k], Fortran-ordered
+    pair_rows: np.ndarray  # (n(n-1),) row p_k*n + q_k of pair k in V seen as (n*n, 9)
+
+    def head(self, cap: Optional[int]) -> "_Ball":
+        if cap is None:
+            return self
+        return self._replace(table=self.table[:cap], unary=self.unary[:cap], pairs=self.pairs[:cap])
+
+
+def _pair_index(table: np.ndarray, dtype) -> np.ndarray:
+    # flat[i, k] = k*n*n + T[i,p_k]*n + T[i,q_k], filled in place one column
+    # at a time, in ordered_pairs order, from contiguous copies of the
+    # table's columns.
+    n = table.shape[1]
+    cols = table.T.astype(dtype)
+    flat = np.empty((len(table), n * (n - 1)), dtype=dtype, order="F")
+    base = np.empty(len(table), dtype=dtype)
+    k = 0
+    for a in range(n):
+        np.multiply(cols[a], n, out=base)
+        for b in range(n):
+            if b != a:
+                col = flat[:, k]
+                np.add(base, cols[b], out=col)
+                col += k * n * n
+                k += 1
+    return flat
+
+
 @lru_cache(maxsize=4)
-def _ball_index(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    # The identity ball T and its pair gather index k*n*n + T[i,p_k]*n +
-    # T[i,q_k], Fortran-ordered: numpy then sums each row of a gather
-    # through it left to right, in pair order.
+def _ball_index(n: int, radius: int) -> _Ball:
+    # Indices are intp, which numpy gathers with no cast, while the pair
+    # index fits one gather chunk; larger balls keep int32 (n**4 < 2**31) to
+    # halve their memory.  Building holds no second copy of the pair index.
+    # Its Fortran order makes numpy sum each row of a gather through it
+    # left to right, in pair order.
     table = _ball_table(n, radius)
     p, q = ordered_pairs(n)
-    t = table.astype(np.int32 if n**4 < 2**31 else np.intp)
-    flat = np.asfortranarray(t[:, p] * n)
-    flat += t[:, q]
-    flat += np.arange(len(p), dtype=t.dtype) * (n * n)
-    flat.setflags(write=False)
-    return table, flat
+    small = len(table) * len(p) * np.dtype(np.intp).itemsize <= _GATHER_BYTES
+    dtype = np.intp if small or n**4 >= 2**31 else np.int32
+    pairs = _pair_index(table, dtype)
+    unary = np.empty(table.shape, dtype=dtype)
+    np.add(table, np.arange(n) * n, out=unary, casting="same_kind")
+    pair_rows = p * n + q
+    for arr in (unary, pairs, pair_rows):
+        arr.setflags(write=False)
+    return _Ball(table, unary, pairs, pair_rows)
 
 
-def _batch_costs(logu, logv, shape: GridShape, center, table, flat) -> tuple[np.ndarray, np.ndarray]:
-    """Unary and binary cost parts of each candidate ``center[table[i]]``.
+def _batch_costs(logu, logv, shape: GridShape, center, ball: _Ball) -> tuple[np.ndarray, np.ndarray]:
+    """Unary and binary cost parts of each candidate ``center[ball.table[i]]``.
 
-    ``table`` and ``flat`` are rows of the cached identity-ball index.  The
-    ``-ln`` tables are relabelled by the center (slot ``j`` reads ID
-    ``center[j]``), so row ``i`` gathers exactly the floats of candidate
-    ``i``, in pair order, without building it.  All rows are summed the same
-    way, so they rank consistently; a total may differ from the scalar
-    ``total_cost`` in the last bits.  Chunks gather about ``_GATHER_BYTES``.
+    ``ball`` is (a prefix of) the cached identity-ball plan.  The ``-ln``
+    tables are relabelled by the center (slot ``j`` reads ID ``center[j]``),
+    so row ``i`` gathers exactly the floats of candidate ``i``, in pair
+    order, without building it.  All rows are summed the same way, so they
+    rank consistently; a total may differ from the scalar ``total_cost`` in
+    the last bits.  Chunks gather about ``_GATHER_BYTES``.
     """
-    n = shape.n
-    unary = logu[:, center][np.arange(n), table].sum(axis=1)
-    binary = np.zeros(len(table))
+    unary = logu.take(center, axis=1).take(ball.unary).sum(axis=1)
+    binary = np.zeros(len(ball.table))
     if logv is not None:
-        p, q = ordered_pairs(n)
-        rel = relation_table(shape)[np.ix_(center, center)]
+        n = shape.n
+        rel = relation_table(shape).take(center, axis=0).take(center, axis=1)
         # Entry (k, a*n + b): pair k's cost for the IDs center[a], center[b].
-        pc_flat = logv[p[:, None], q[:, None], rel.ravel()[None, :]].ravel()
-        # A chunk of one row would be summed pairwise instead, so no chunk
-        # holds a single row unless the whole set is one row.
-        step = max(2, _GATHER_BYTES // (8 * max(1, len(p))))
+        pc_flat = logv.reshape(n * n, -1).take(ball.pair_rows, axis=0).take(rel.ravel(), axis=1).ravel()
+        # np.take would return each chunk C-ordered, and numpy sums a C row
+        # pairwise; the fancy gather keeps the index's Fortran order.  A chunk
+        # of one row would be summed pairwise too, so no chunk holds a single
+        # row unless the whole set is one row.
+        flat = ball.pairs
+        step = max(2, _GATHER_BYTES // (8 * max(1, flat.shape[1])))
         starts = range(0, max(1, len(flat) - 1), step)
         for lo, hi in zip(starts, [*starts[1:], len(flat)]):
             binary[lo:hi] = pc_flat[flat[lo:hi]].sum(axis=1)
@@ -142,9 +183,10 @@ def _select(table: np.ndarray, totals: np.ndarray, center: np.ndarray) -> int:
     # the table row moves), then lexicographic order of the candidate.  Exact
     # float equality is the tie test; true ties give bit-identical sums.
     best = np.flatnonzero(totals == totals.min())
-    if len(best) > 1:
-        moved = (table[best] != np.arange(table.shape[1])).sum(axis=1)
-        best = best[moved == moved.min()]
+    if len(best) == 1:
+        return int(best[0])
+    moved = (table[best] != np.arange(table.shape[1])).sum(axis=1)
+    best = best[moved == moved.min()]
     return int(min(best, key=lambda row: center[table[row]].tolist()))
 
 
@@ -156,10 +198,10 @@ def _refine(logu, logv, center, shape: GridShape, radius: int, cap: Optional[int
     radius = min(radius, n)
     while cap is not None and radius > 0 and hamming_ball_size(n, radius - 1) >= cap:
         radius -= 1
-    table, flat = (a[:cap] for a in _ball_index(n, radius))
-    unary, binary = _batch_costs(logu, logv, shape, center, table, flat)
-    row = _select(table, unary + binary, center)
-    return center[table[row]], CostBreakdown(float(unary[row]), float(binary[row]))
+    ball = _ball_index(n, radius).head(cap)
+    unary, binary = _batch_costs(logu, logv, shape, center, ball)
+    row = _select(ball.table, unary + binary, center)
+    return center[ball.table[row]], CostBreakdown(float(unary[row]), float(binary[row]))
 
 
 def refine_with_binary(
@@ -186,12 +228,19 @@ def refine_with_binary(
 
 
 def predict(U, V, shape: GridShape, opts: SolverOptions) -> tuple[np.ndarray, CostBreakdown]:
-    """Hungarian seed refined over the Hamming ball, and the winner's cost."""
+    """Hungarian seed refined over the Hamming ball, and the winner's cost.
+
+    Without binary terms the ball has radius 0: the seed wins, and its
+    assignment cost is the kernel's unary sum (one contiguous row, summed the
+    same way).
+    """
     logu = neg_log(validate_unary(U, shape.n))
-    use_v = opts.use_binary and V is not None and not shape.is_3d
-    logv = neg_log(validate_binary(V, shape.n)) if use_v else None
+    if not (opts.use_binary and V is not None and not shape.is_3d):
+        seed = min_cost_assignment(logu)
+        return seed.config, CostBreakdown(seed.cost, 0.0)
+    logv = neg_log(validate_binary(V, shape.n))
     seed = min_cost_assignment(logu).config
-    return _refine(logu, logv, seed, shape, opts.radius if use_v else 0, opts.candidate_cap)
+    return _refine(logu, logv, seed, shape, opts.radius, opts.candidate_cap)
 
 
 def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
@@ -202,11 +251,11 @@ def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
     n = shape.n
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refused for n > {BRUTE_FORCE_MAX_N}")
-    table, flat = _ball_index(n, n)
+    ball = _ball_index(n, n)
     logv = None if V is None else neg_log(V)
-    totals = sum(_batch_costs(neg_log(U), logv, shape, np.arange(n), table, flat))
+    totals = sum(_batch_costs(neg_log(U), logv, shape, np.arange(n), ball))
     best = np.flatnonzero(totals == totals.min())
-    return np.array(min(table[best].tolist()), dtype=np.int64)
+    return np.array(min(ball.table[best].tolist()), dtype=np.int64)
 
 
 def _provider_call(round_no: int, fn, *args):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,37 @@ class TestValidation:
             else:
                 with pytest.raises(ValueError):
                     validate(table)
+
+    @pytest.mark.parametrize("bad,message", [
+        (math.nan, "unary matrix must be finite"),
+        (math.inf, "unary matrix must be finite"),
+        (-math.inf, "unary matrix must be finite"),
+        (-0.25, "unary entries must lie in [0, 1]"),
+        (1.25, "unary entries must lie in [0, 1]"),
+    ])
+    def test_unary_messages(self, bad, message):
+        U = np.full((3, 3), 1 / 3)
+        U[1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_unary(U, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_binary_diagonal_must_be_finite(self, bad):
+        V = np.full((3, 3, 9), 1 / 9)
+        V[1, 1, 4] = bad
+        with pytest.raises(ValueError, match="^binary table must be finite$"):
+            validate_binary(V, 3)
+
+    def test_binary_diagonal_is_otherwise_unconstrained(self):
+        V = np.full((3, 3, 9), 1 / 9)
+        V[2, 2] = -5.0
+        assert validate_binary(V, 3) is V
+
+    def test_binary_pair_messages(self):
+        V = np.full((3, 3, 9), 1 / 9)
+        V[0, 2, 0] = -1e-3
+        with pytest.raises(ValueError, match="^every off-diagonal 9-vector must be a distribution$"):
+            validate_binary(V, 3)
 
     def test_validate_binary_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -323,9 +323,9 @@ def scanned(monkeypatch):
     seen = []
     real = search._batch_costs
 
-    def spy(logu, logv, shape, center, table, flat):
-        seen.append(center[table])
-        return real(logu, logv, shape, center, table, flat)
+    def spy(logu, logv, shape, center, ball):
+        seen.append(center[ball.table])
+        return real(logu, logv, shape, center, ball)
 
     monkeypatch.setattr(search, "_batch_costs", spy)
     return seen

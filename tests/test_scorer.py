@@ -7,7 +7,7 @@ import pytest
 
 from jigsolve import scorer, search
 from jigsolve.cost import validate_binary, validate_unary
-from jigsolve.grid import GridShape, hamming, random_permutation, relative_type
+from jigsolve.grid import GridShape, hamming, random_permutation, relation_table, relative_type
 from jigsolve.puzzlegen import FormatError, GenOptions, generate_corpus
 from jigsolve.scorer import (
     FEATURE_RECIPE_2D,
@@ -163,7 +163,54 @@ class TestExtractFeatures:
             extract_features(np.full((8, 8, 1), np.nan))
 
 
+def oracle_reference(truth, shape, eps, rng=None, jitter=scorer.DEFAULT_ORACLE_JITTER, binary_eps=None):
+    """The oracle as it scattered V's pair block, then gathered and jittered it."""
+    if binary_eps is None:
+        binary_eps = eps
+    t = np.asarray(truth, dtype=np.int64)
+    n = shape.n
+
+    def noisy(base, e):
+        amp = jitter * e * (1.0 - e)
+        if rng is None or amp == 0.0:
+            return base
+        z = np.log(np.maximum(base, 1e-300)) + amp * rng.standard_normal(base.shape)
+        z -= z.max(axis=-1, keepdims=True)
+        ez = np.exp(z)
+        return ez / ez.sum(axis=-1, keepdims=True)
+
+    U = np.full((n, n), eps / n)
+    U[np.arange(n), t] += 1.0 - eps
+    U = noisy(U, eps)
+    if shape.is_3d:
+        return U, None
+    rel = relation_table(shape)
+    V = np.full((n, n, 9), binary_eps / 9)
+    p, q = np.where(~np.eye(n, dtype=bool))
+    V[p, q, rel[t[p], t[q]]] += 1.0 - binary_eps
+    V[p, q] = noisy(V[p, q], binary_eps)
+    return U, V
+
+
 class TestOracleScore:
+    @pytest.mark.parametrize("spec", ["3x3", "3x2", "2x2x2"])
+    @pytest.mark.parametrize("binary_eps", [None, 0.0, 0.2, 1.0])
+    def test_bytes_and_draws_match_the_reference(self, spec, binary_eps):
+        shape = GridShape.parse(spec)
+        for eps in (0.0, 0.3, 0.5, 1.0):
+            for seed, jitter in ((None, 8.0), (3, 8.0), (4, 0.0), (5, 2.5)):
+                truth = random_permutation(shape.n, np.random.default_rng([60, shape.n]))
+                rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
+                got = oracle_score(truth, shape, eps, rngs[0], jitter, binary_eps)
+                want = oracle_reference(truth, shape, eps, rngs[1], jitter, binary_eps)
+                for a, b in zip(got, want):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes(), (eps, seed, jitter)
+                if seed is not None:
+                    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     def test_eps_zero_is_one_hot(self):
         truth = np.array([2, 0, 1, 3])
         U, V = oracle_score(truth, S2, 0.0)

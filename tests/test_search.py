@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jigsolve import assign, scorer, search
+from jigsolve import assign, grid, scorer, search
 from jigsolve.assign import unary_argmin
 from jigsolve.cost import neg_log, row_softmax, softmax9, total_cost
 from jigsolve.grid import (
@@ -79,8 +79,7 @@ class TestBallKernel:
     def test_relabelled_tables_equal_the_candidate_gather(self, extents, chunk_rows, monkeypatch):
         shape = GridShape(extents)
         n = shape.n
-        if chunk_rows is not None:
-            monkeypatch.setattr(search, "_GATHER_BYTES", 8 * n * (n - 1) * chunk_rows)
+        chunk = search._GATHER_BYTES if chunk_rows is None else 8 * n * (n - 1) * chunk_rows
         rng = np.random.default_rng([50, n])
         cases = [(r, None) for r in range(min(n, 4) + 1)]
         # The last cap ends inside the radius-n ball, past the radius-(n-1) one.
@@ -89,18 +88,50 @@ class TestBallKernel:
             U, V = random_tables(n, rng)
             logu, logv = neg_log(U), neg_log(V)
             center = random_permutation(n, rng)
-            table, flat = (a[:cap] for a in search._ball_index(n, radius))
-            cands = center[table]
-            assert (cands == enumerate_hamming_ball(center, radius)[:cap]).all()
-            unary, binary = search._batch_costs(logu, logv, shape, center, table, flat)
-            want_unary, want_binary = gathered_costs(logu, logv, shape, cands)
-            assert (unary == want_unary).all(), (radius, cap)
-            assert (binary == want_binary).all(), (radius, cap)
+            # An uncached plan built below and above the byte budget takes
+            # each index dtype; both must give the same floats.
+            for budget, dtype in ((1 << 62, np.intp), (0, np.int32)):
+                monkeypatch.setattr(search, "_GATHER_BYTES", budget)
+                ball = search._ball_index.__wrapped__(n, radius).head(cap)
+                assert ball.unary.dtype == ball.pairs.dtype == dtype
+                monkeypatch.setattr(search, "_GATHER_BYTES", chunk)
+                cands = center[ball.table]
+                assert (cands == enumerate_hamming_ball(center, radius)[:cap]).all()
+                unary, binary = search._batch_costs(logu, logv, shape, center, ball)
+                want_unary, want_binary = gathered_costs(logu, logv, shape, cands)
+                assert (unary == want_unary).all(), (radius, cap, dtype)
+                assert (binary == want_binary).all(), (radius, cap, dtype)
 
     def test_index_is_cached_and_read_only(self):
-        table, flat = search._ball_index(5, 3)
-        assert search._ball_index(5, 3)[1] is flat
-        assert not table.flags.writeable and not flat.flags.writeable
+        ball = search._ball_index(5, 3)
+        assert search._ball_index(5, 3) is ball
+        assert not any(a.flags.writeable for a in ball)
+
+    def test_3x3_plan_gathers_without_a_cast(self):
+        # 205 x 72 intp entries (118 KB) fit one gather chunk, so numpy
+        # gathers through them with no per-round cast to intp.
+        ball = search._ball_index(9, 3)
+        assert all(a.dtype == np.intp for a in ball)
+        assert ball.pairs.shape == (205, 72) and ball.pairs.flags.f_contiguous
+        assert ball.unary.flags.c_contiguous
+        assert (ball.unary == np.arange(9) * 9 + ball.table).all()
+        assert (ball.pair_rows == np.flatnonzero(~np.eye(9, dtype=bool))).all()
+
+    @pytest.mark.parametrize("n", [25, 36])
+    def test_cold_build_holds_one_pair_index(self, n):
+        # 5x5 and 6x6 at r=3 keep an int32 pair index of 11.2 and 71.7 MiB;
+        # building it must not hold a second copy.  The ball table is
+        # grid's own cache and stays warm.
+        grid._ball_table(n, 3)
+        search._ball_index.cache_clear()
+        tracemalloc.start()
+        try:
+            ball = search._ball_index(n, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ball.pairs.dtype == np.int32
+        assert peak <= 1.1 * ball.pairs.nbytes
 
     def test_warm_6x6_predict_memory_is_bounded(self):
         shape = GridShape((6, 6))
@@ -183,6 +214,25 @@ class TestPredict:
         config, bd = predict(U, V, S3, SolverOptions(use_binary=False))
         assert (config == unary_argmin(U).config).all()
         assert bd.binary == 0.0
+
+    @pytest.mark.parametrize("spec,use_binary", [("3x3x3", True), ("3x3", False)])
+    def test_radius_zero_round_equals_the_one_row_kernel(self, spec, use_binary):
+        # Without binary terms the round skips the ball; its result and the
+        # float of its cost are those of the kernel over the one-row ball.
+        shape = GridShape.parse(spec)
+        n = shape.n
+        rng = np.random.default_rng([28, n])
+        opts = SolverOptions(use_binary=use_binary, candidate_cap=7)
+        tables = [oracle_score(random_permutation(n, rng), shape, eps, rng=rng)
+                  for eps in (0.0, 0.3, 0.5, 1.0) for _ in range(5)]
+        tables += [(row_softmax(3 * rng.standard_normal((n, n))), None) for _ in range(20)]
+        for U, V in tables:
+            config, bd = predict(U, V, shape, opts)
+            logu = neg_log(U)
+            seed = assign.min_cost_assignment(logu).config
+            want, want_bd = search._refine(logu, None, seed, shape, 0, None)
+            assert config.dtype == want.dtype and (config == want).all()
+            assert bd == want_bd
 
     def test_full_radius_matches_brute_force(self):
         rng = np.random.default_rng(25)
