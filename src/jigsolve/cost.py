@@ -47,15 +47,13 @@ def softmax9(logits) -> np.ndarray:
     return row_softmax(z[None, :])[0]
 
 
-def _sums_near_one(sums: np.ndarray, off_diagonal: bool = False) -> bool:
-    # ``sums`` must be summed as the ordered checks sum each row, so both
-    # agree on every row at the tolerance's edge.
-    dev = sums.ravel()
-    dev -= 1.0
-    np.abs(dev, out=dev)
-    if off_diagonal:
-        dev[:: len(sums) + 1] = 0.0
-    return bool(dev.max() <= ROW_SUM_TOL)
+def _extremes(arr: np.ndarray, name: str):
+    """``arr``'s min and max (0, 0 when empty); raise unless both are finite."""
+    flat = arr.ravel()
+    lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
+    if not -np.inf < lo <= hi < np.inf:  # min and max propagate NaN
+        raise ValueError(f"{name} must be finite")
+    return lo, hi
 
 
 def validate_unary(U, n: int | None = None) -> np.ndarray:
@@ -65,16 +63,10 @@ def validate_unary(U, n: int | None = None) -> np.ndarray:
         raise ValueError(f"unary matrix must be square, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"unary matrix is {arr.shape[0]}x{arr.shape[0]}, expected n={n}")
-    # One fused test accepts exactly the tables the ordered checks below
-    # accept (min and max propagate NaN); those run only to word the error.
-    flat = arr.ravel()
-    if flat.size and flat.min() >= 0 and flat.max() <= 1 + ROW_SUM_TOL and _sums_near_one(arr.sum(axis=1)):
-        return arr
-    if not np.isfinite(arr).all():
-        raise ValueError("unary matrix must be finite")
-    if (arr < 0).any() or (arr > 1 + ROW_SUM_TOL).any():
+    lo, hi = _extremes(arr, "unary matrix")
+    if lo < 0 or hi > 1 + ROW_SUM_TOL:
         raise ValueError("unary entries must lie in [0, 1]")
-    if not (np.abs(arr.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
+    if not np.abs(arr.sum(axis=1) - 1.0).max(initial=0.0) <= ROW_SUM_TOL:
         raise ValueError("every unary row must sum to 1")
     return arr
 
@@ -89,17 +81,12 @@ def validate_binary(V, n: int | None = None) -> np.ndarray:
         raise ValueError(f"binary table must have shape (n, n, 9), got {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"binary table is for n={arr.shape[0]}, expected n={n}")
-    # As in validate_unary; a negative diagonal entry only takes the slow
-    # path.  Each 9-vector is summed as one contiguous run, as in the
-    # gathered pair block below.
-    flat = arr.ravel()
-    sums = np.ascontiguousarray(arr).sum(axis=2)
-    if flat.size and flat.min() >= 0 and flat.max() < np.inf and _sums_near_one(sums, off_diagonal=True):
-        return arr
-    if not np.isfinite(arr).all():
-        raise ValueError("binary table must be finite")
-    pairs = arr[ordered_pairs(arr.shape[0])]
-    if (pairs < 0).any() or not (np.abs(pairs.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
+    lo, _ = _extremes(arr, "binary table")
+    n = arr.shape[0]
+    # Each 9-vector is summed as one contiguous run, whatever V's layout.
+    dev = np.abs(np.ascontiguousarray(arr).sum(axis=2) - 1.0)
+    dev.flat[:: n + 1] = 0.0
+    if (lo < 0 and (arr[ordered_pairs(n)] < 0).any()) or not dev.max(initial=0.0) <= ROW_SUM_TOL:
         raise ValueError("every off-diagonal 9-vector must be a distribution")
     return arr
 

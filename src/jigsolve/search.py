@@ -114,7 +114,7 @@ def _pair_index(table: np.ndarray, dtype) -> np.ndarray:
     # at a time, in ordered_pairs order, from contiguous copies of the
     # table's columns.
     n = table.shape[1]
-    cols = table.T.astype(dtype)
+    cols = np.ascontiguousarray(table.T, dtype=dtype)
     flat = np.empty((len(table), n * (n - 1)), dtype=dtype, order="F")
     base = np.empty(len(table), dtype=dtype)
     k = 0
