@@ -3,6 +3,8 @@
 Reports are line-delimited JSON, one record per puzzle plus one aggregate
 record, written in puzzle-index order so identical flags and seed produce
 byte-identical files at any thread count.  Timing goes to stderr only.
+``bench`` solves each puzzle once per (noise, radius, binary) at the largest
+``--rounds`` cap and reads every cap's aggregate off that one trajectory.
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 selftest failure.
 """
@@ -70,6 +72,7 @@ def _synth_kind(flag: str) -> str:
 
 def _check_gen_2d(shape, opts) -> None:
     """Reject a 2D ``--cell``/``--crop`` that a synthetic corpus cannot be cut with or described by."""
+    _options(puzzlegen.check_crop_2d, opts)
     try:
         scorer.check_tile((opts.crop, opts.crop, 1))
     except ValueError as exc:
@@ -140,62 +143,53 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _solve_one(args, index, instance, shape, opts, model, eps):
-    rng = np.random.default_rng([args.seed, index])
-    if instance is None:
-        instance = PuzzleInstance.scrambled(shape, rng)
-    provider = model if model is not None else OracleScorer(
-        noise=eps, rng=rng, binary_noise=args.oracle_binary, jitter=args.oracle_jitter
-    )
-    trace = search.solve_iterative(provider, instance, opts)
-    final_ham = grid.hamming(trace.final_truth, np.arange(shape.n))
-    per_round = []
-    for r in range(1, opts.max_rounds + 1):
-        if r <= trace.rounds_used:
-            per_round.append(trace.rounds[r - 1].hamming_to_truth == 0)
-        else:
-            per_round.append(bool(trace.solved))
-    return {
-        "type": "puzzle",
-        "index": index,
-        "rounds_used": trace.rounds_used,
-        "converged": trace.converged,
-        "solved": bool(trace.solved),
-        "final_hamming": final_ham,
-        "binary_degraded": trace.binary_degraded,
-    }, per_round
+def _trajectories(args, shape, instances, count, opts, model, eps):
+    """One solve per puzzle: (each round's Hamming distance to the truth, converged, degraded)."""
+    out = []
+    for index in range(count):
+        rng = np.random.default_rng([args.seed, index])
+        instance = instances[index] if instances else PuzzleInstance.scrambled(shape, rng)
+        provider = model if model is not None else OracleScorer(
+            noise=eps, rng=rng, binary_noise=args.oracle_binary, jitter=args.oracle_jitter
+        )
+        trace = search.solve_iterative(provider, instance, opts)
+        out.append(([r.hamming_to_truth for r in trace.rounds], trace.converged, trace.binary_degraded))
+    return out
 
 
-def _run_batch(args, shape, instances, count, opts, model, eps):
-    results = [
-        _solve_one(args, i, instances[i] if instances else None, shape, opts, model, eps)
-        for i in range(count)
-    ]
-    records = [r for r, _ in results]
-    curves = np.array([c for _, c in results], dtype=bool)
-    return records, curves
+def _report(trajectories, shape, seed, scorer_desc, opts):
+    """Puzzle records and aggregate of a solve at ``opts``, cut from no shorter trajectories.
 
-
-def _aggregate(records, curves, shape, seed, scorer_desc, opts, count) -> dict:
-    hams = np.array([r["final_hamming"] for r in records])
+    A cap-k solve is the first k rounds of any longer one, and the truth's
+    Hamming distance after a round's move is that round's ``hamming_to_truth``.
+    """
+    k = opts.max_rounds
+    records, curves = [], []
+    for index, (hams, converged, degraded) in enumerate(trajectories):
+        used = min(k, len(hams))
+        solved = hams[used - 1] == 0
+        records.append({"type": "puzzle", "index": index, "rounds_used": used,
+                        "converged": converged and k >= len(hams), "solved": solved,
+                        "final_hamming": hams[used - 1], "binary_degraded": degraded})
+        curves.append([h == 0 for h in hams[:used]] + [solved] * (k - used))
+    final = np.array([r["final_hamming"] for r in records])
     space = math.factorial(shape.n)
-    agg = {
+    return records, {
         "type": "aggregate",
         "grid": str(shape),
         "seed": seed,
         "scorer": scorer_desc,
         "radius": opts.radius,
-        "max_rounds": opts.max_rounds,
+        "max_rounds": k,
         "use_binary": opts.use_binary,
-        "n_puzzles": count,
-        "exact_rate": float(np.mean(hams == 0)),
-        "d_le_2_rate": float(np.mean(hams <= 2)),
+        "n_puzzles": len(records),
+        "exact_rate": float(np.mean(final == 0)),
+        "d_le_2_rate": float(np.mean(final <= 2)),
         "mean_rounds": float(np.mean([r["rounds_used"] for r in records])),
         "config_space_size": space,
         "config_space_size_approx": float(space) if space <= sys.float_info.max else None,
-        "per_round_solved": [float(f) for f in curves.mean(axis=0)],
+        "per_round_solved": [float(f) for f in np.array(curves, dtype=bool).mean(axis=0)],
     }
-    return agg
 
 
 def _write_report(path, records) -> None:
@@ -246,9 +240,9 @@ def cmd_solve(args) -> int:
         + (f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else "")
     )
     t0 = time.perf_counter()
-    records, curves = _run_batch(args, shape, instances, count, opts, model, args.oracle)
+    trajectories = _trajectories(args, shape, instances, count, opts, model, args.oracle)
     wall = time.perf_counter() - t0
-    agg = _aggregate(records, curves, shape, args.seed, desc, opts, count)
+    records, agg = _report(trajectories, shape, args.seed, desc, opts)
     _write_report(args.report, records + [agg])
     print(
         f"{count} puzzles in {wall:.2f}s: exact_rate={agg['exact_rate']:.4f} "
@@ -275,37 +269,37 @@ def cmd_bench(args) -> int:
     noises = _parse_list(args.noise, float)
     _check_run_flags(args, noises)
     binary_opts = {"both": [True, False], "on": [True], "off": [False]}[args.binary]
-    all_records = []
-    summary = []
+    settings = {
+        (radius, k, use_binary): _options(SolverOptions, radius=radius, max_rounds=k,
+                                          use_binary=use_binary, candidate_cap=args.candidate_cap)
+        for radius in radii for k in rounds_list for use_binary in binary_opts
+    }
+    longest = max(rounds_list)
+    binary_desc = f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else ""
+    rows, solves = [], []
     for eps in noises:
         for radius in radii:
-            for max_rounds in rounds_list:
+            trajectories = {}
+            for use_binary in binary_opts:
+                t0 = time.perf_counter()
+                trajectories[use_binary] = _trajectories(
+                    args, shape, None, args.count, settings[radius, longest, use_binary], None, eps)
+                solves.append((eps, radius, use_binary, time.perf_counter() - t0))
+            for k in rounds_list:
                 for use_binary in binary_opts:
-                    opts = _options(
-                        SolverOptions,
-                        radius=radius,
-                        max_rounds=max_rounds,
-                        use_binary=use_binary,
-                        candidate_cap=args.candidate_cap,
-                    )
-                    t0 = time.perf_counter()
-                    records, curves = _run_batch(args, shape, None, args.count, opts, None, eps)
-                    wall = time.perf_counter() - t0
-                    desc = f"oracle:eps={eps}" + (
-                        f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else ""
-                    )
-                    agg = _aggregate(records, curves, shape, args.seed, desc, opts, args.count)
-                    all_records.append(agg)
-                    summary.append((eps, radius, max_rounds, use_binary, agg, wall))
-    _write_report(args.report, all_records)
+                    rows.append((eps, _report(trajectories[use_binary], shape, args.seed,
+                                              f"oracle:eps={eps}{binary_desc}",
+                                              settings[radius, k, use_binary])[1]))
+    _write_report(args.report, [agg for _, agg in rows])
     print("noise  radius  rounds  binary  exact    d<=2     mean_rounds", file=sys.stderr)
-    for eps, radius, max_rounds, use_binary, agg, wall in summary:
-        print(
-            f"{eps:<6g} {radius:<7d} {max_rounds:<7d} {str(use_binary):<7s} "
-            f"{agg['exact_rate']:<8.4f} {agg['d_le_2_rate']:<8.4f} "
-            f"{agg['mean_rounds']:<6.2f} ({wall:.2f}s)",
-            file=sys.stderr,
-        )
+    for eps, agg in rows:
+        print(f"{eps:<6g} {agg['radius']:<7d} {agg['max_rounds']:<7d} {str(agg['use_binary']):<7s} "
+              f"{agg['exact_rate']:<8.4f} {agg['d_le_2_rate']:<8.4f} {agg['mean_rounds']:.2f}",
+              file=sys.stderr)
+    print(f"noise  radius  binary  wall (one solve at {longest} rounds, shared by every cap)",
+          file=sys.stderr)
+    for eps, radius, use_binary, wall in solves:
+        print(f"{eps:<6g} {radius:<7d} {str(use_binary):<7s} {wall:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -488,7 +482,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError, NotADirectoryError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -79,12 +79,15 @@ class GenOptions:
     scramble: bool = True
 
     def __post_init__(self):
-        if self.crop > self.cell:
-            raise ValueError(f"crop {self.crop} exceeds cell {self.cell}")
         if self.mean_scope not in ("patch", "image"):
             raise ValueError("mean_scope must be 'patch' or 'image'")
         if not 0.0 <= self.mirror_p <= 1.0:
             raise ValueError("mirror_p must be in [0, 1]")
+
+
+def check_crop_2d(opts: GenOptions) -> None:
+    if opts.crop > opts.cell:  # a 2D crop is cut from inside its cell; 3D grids fix both
+        raise ValueError(f"crop {opts.crop} exceeds cell {opts.cell}")
 
 
 @dataclass(frozen=True)
@@ -378,6 +381,7 @@ def make_puzzle_2d(
     """Resize to (cell*W) x (cell*H), cut, jitter-crop, flip, scramble."""
     if img.is_3d:
         raise ValueError("make_puzzle_2d needs a 2D image")
+    check_crop_2d(opts)
     shape = GridShape((W, H))
     n = shape.n
     gap = opts.cell - opts.crop
@@ -588,6 +592,8 @@ def _parse_manifest(text: str, path: str) -> PuzzleMeta:
             mean_scope=kv["mean_scope"],
             scramble=bool(int(kv["scramble"])),
         )
+        if len(grid) == 2:
+            check_crop_2d(opts)
         offsets = np.array(
             [[int(v) for v in row.split(":")] for row in kv["offsets"].split(";")], dtype=np.int64
         )

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jigsolve import search
 from jigsolve.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -48,6 +49,20 @@ def random_model(path: Path) -> Path:
     return path
 
 
+def spy_solves(monkeypatch) -> list:
+    """Count the CLI's solves: the returned list gets each solve's rounds used."""
+    rounds_used = []
+    solve_iterative = search.solve_iterative
+
+    def spy(*args):
+        trace = solve_iterative(*args)
+        rounds_used.append(trace.rounds_used)
+        return trace
+
+    monkeypatch.setattr(search, "solve_iterative", spy)
+    return rounds_used
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli") / "corpus"
@@ -81,13 +96,14 @@ class TestGen:
         assert inst.patches.shape == (27, 32, 32, 32, 1)
 
     def test_3d_ignores_cell_and_crop(self, tmp_path):
-        root = tmp_path / "vol"
-        code = main(["gen", "--grid", "2x2x2", "--count", "1", "--cell", "3", "--crop", "2",
-                     "--out", str(root)])
-        assert code == EXIT_OK
         from jigsolve.puzzlegen import load_corpus
 
-        assert load_corpus(root)[0].patches.shape == (8, 48, 48, 48, 1)
+        for cell, crop in (("3", "2"), ("8", "12")):
+            root = tmp_path / f"vol{cell}"
+            code = main(["gen", "--grid", "2x2x2", "--count", "1", "--cell", cell, "--crop", crop,
+                         "--out", str(root)])
+            assert code == EXIT_OK
+            assert load_corpus(root)[0].patches.shape == (8, 48, 48, 48, 1)
 
     def test_smallest_admitted_geometry(self, tmp_path):
         root = tmp_path / "small"
@@ -281,10 +297,46 @@ class TestBench:
         assert reports["capped"] == reports["solve"]
         assert reports["capped"] != reports["uncapped"]
 
-    def test_bad_ball_knob_is_usage_error(self, tmp_path):
-        code = main(["bench", "--grid", "3x3", "--radii", "3,-1", "--report",
-                     str(tmp_path / "b.jsonl")])
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize("grid,flags,count", [
+        ("3x3", ["--oracle-binary", "0.1"], 10),
+        ("3x3", ["--oracle-binary", "0.1", "--no-binary"], 10),
+        ("3x3x3", [], 5),
+        ("4x4", ["--candidate-cap", "60"], 3),
+    ])
+    def test_every_cap_equals_a_solve_at_that_cap(self, grid, flags, count, tmp_path,
+                                                  monkeypatch):
+        rounds_used = spy_solves(monkeypatch)
+        caps = list(range(1, 21))
+        common = ["--grid", grid, "--count", str(count), "--seed", "3"]
+        binary = "off" if "--no-binary" in flags else "on"
+        report = tmp_path / "bench.jsonl"
+        assert main(["bench", *common, *[f for f in flags if f != "--no-binary"],
+                     "--noise", "0.6", "--binary", binary, "--rounds", ",".join(map(str, caps)),
+                     "--report", str(report)]) == EXIT_OK
+        # One solve per puzzle at the largest cap, and some trajectory to cut.
+        assert len(rounds_used) == count and max(rounds_used) > 1
+        _, aggs = read_report(report)
+        assert len(aggs) == len(caps)
+        for k, agg in zip(caps, aggs):
+            solved = tmp_path / f"solve{k}.jsonl"
+            assert main(["solve", *common, *flags, "--oracle", "0.6", "--max-rounds", str(k),
+                         "--report", str(solved)]) == EXIT_OK
+            assert read_report(solved)[1] == [agg]
+
+    def test_one_solve_per_noise_radius_and_binary(self, tmp_path, monkeypatch):
+        rounds_used = spy_solves(monkeypatch)
+        assert main(["bench", "--grid", "2x2", "--count", "3", "--noise", "0.2,0.5",
+                     "--radii", "0,3", "--rounds", "1,5,20", "--binary", "both",
+                     "--report", str(tmp_path / "b.jsonl")]) == EXIT_OK
+        assert len(rounds_used) == 3 * 2 * 2 * 2
+
+    def test_bad_ball_knob_is_usage_error(self, tmp_path, monkeypatch):
+        rounds_used = spy_solves(monkeypatch)
+        for flag in (["--radii", "3,-1"], ["--rounds", "5,0"]):
+            code = main(["bench", "--grid", "3x3", *flag, "--report", str(tmp_path / "b.jsonl")])
+            assert code == EXIT_USAGE
+        # Every setting is checked before any puzzle is built.
+        assert rounds_used == []
 
     def test_empty_sweep_is_usage_error(self, tmp_path):
         code = main(["bench", "--grid", "3x3", "--noise", "", "--report",
@@ -357,6 +409,7 @@ class TestBadInput:
     @pytest.mark.parametrize("pattern,repl", [
         (r"(?m)^cell=.*\n", ""),
         (r"(?m)^truth=.*$", "truth=0,0,1,2"),
+        (r"(?m)^crop=.*$", "crop=13"),
     ])
     def test_bad_manifest_is_data_error(self, pattern, repl, corpus_dir, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -368,6 +421,21 @@ class TestBadInput:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:") and "manifest" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--corpus", "{corpus}", "--model", "{dir}", "--report", "{out}"],
+        ["solve", "--grid", "3x3", "--oracle", "0.5", "--count", "2", "--report", "{dir}"],
+        ["train", "--corpus", "{corpus}", "--out", "{dir}", "--epochs", "1"],
+        ["gen", "--grid", "2x2", "--count", "1", "--out", "{file}"],
+    ])
+    def test_file_system_error_is_data_error(self, argv, corpus_dir, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        code = main([a.format(corpus=corpus_dir, dir=tmp_path / "dir", file=tmp_path / "file",
+                              out=tmp_path / "out") for a in argv])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["train", "solve"])
     def test_tiles_below_pooling_grid_are_data_error(self, command, corpus_dir, tmp_path, capsys):

@@ -191,8 +191,10 @@ class TestMakePuzzle2d:
         assert inst.patches.min() >= 0.0 and inst.patches.max() <= 1.0
 
     def test_crop_exceeding_cell_rejected(self):
-        with pytest.raises(ValueError):
-            GenOptions(cell=8, crop=12)
+        # The rule is 2D only: a 3D grid cuts cells and crops of fixed size.
+        opts = GenOptions(cell=8, crop=12)
+        with pytest.raises(ValueError, match="crop 12 exceeds cell 8"):
+            make_puzzle_2d(synth_image("mixed", 64, 5), 2, 2, np.random.default_rng(0), opts)
 
     def test_scramble_recorded_in_truth(self):
         img = synth_image("mixed", 64, 5)
