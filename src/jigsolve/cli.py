@@ -409,12 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--grid", required=True, help="WxH or WxHxZ")
     g.add_argument("--count", type=int, default=100, help="number of instances")
     g.add_argument("--out", required=True, help="corpus directory")
-    g.add_argument("--cell", type=int, default=85, help="cell size in pixels")
-    g.add_argument("--crop", type=int, default=64, help="patch crop size")
+    g.add_argument("--cell", type=int, default=85,
+                   help="2D cell size in pixels; 3D grids ignore it")
+    g.add_argument("--crop", type=int, default=64, help="2D patch crop size; 3D grids ignore it")
     g.add_argument("--no-jitter", action="store_true", help="center crops instead of jittering")
-    g.add_argument("--mirror-p", type=float, default=0.5, help="per-patch flip probability")
+    g.add_argument("--mirror-p", type=float, default=0.5,
+                   help="2D per-patch flip probability; 3D grids ignore it")
     g.add_argument("--no-mean-subtract", action="store_true", help="keep raw intensities")
-    g.add_argument("--mean-scope", default="patch", choices=("patch", "image"))
+    g.add_argument("--mean-scope", default="patch", choices=("patch", "image"),
+                   help="2D mean to subtract; 3D patches always subtract their own")
     g.add_argument("--no-scramble", action="store_true", help="emit solved instances")
     g.set_defaults(func=cmd_gen)
 

@@ -1,8 +1,10 @@
 """Puzzle instance construction: image I/O, synthetic sources, crops, corpora.
 
 Geometry follows the 85-per-cell / 64-crop 2D protocol and the 120^3-region
-3D protocol (60^3 or 40^3 cells with 48^3 / 32^3 jittered sub-crops).  Every
-instance records enough metadata to be regenerated bit-exactly.
+3D protocol (60^3 or 40^3 cells with 48^3 / 32^3 jittered sub-crops).  The
+makers only check their inputs and draw an instance's metadata; one cutter
+turns a source and that metadata into the patches, in 2D and 3D, so
+``regenerate`` rebuilds every instance bit-exactly through the same path.
 
 File formats owned here:
   * PGM (P5) / PPM (P6), maxval 255 only.
@@ -204,7 +206,10 @@ def _read_rten(blob: bytes, path: str) -> ImageTensor:
     if len(payload) < 4 * count:
         fail(f"payload truncated, need {4 * count} bytes", off + len(payload))
     arr = np.frombuffer(payload, dtype="<f4").reshape(*reversed(extents), channels)
-    return ImageTensor(arr.copy())
+    try:
+        return ImageTensor(arr.copy())
+    except ValueError:  # the only check a rank-2 or rank-3 payload can fail
+        fail("non-finite value", off + 4 * int(np.argmin(np.isfinite(arr).ravel())))
 
 
 def load_image(path) -> ImageTensor:
@@ -340,34 +345,42 @@ def synth_volume(kind: str, size: int, seed: int) -> ImageTensor:
 # puzzle construction
 
 
-def _cut_2d(
-    resized: np.ndarray,
-    shape: GridShape,
-    opts: GenOptions,
-    offsets: np.ndarray,
-    mirror: np.ndarray,
-    truth: np.ndarray,
-) -> np.ndarray:
-    W, H = shape.extents
-    n = shape.n
-    c = resized.shape[-1]
-    tiles = np.empty((n, opts.crop, opts.crop, c), dtype=np.float32)
-    if opts.mean_subtract and opts.mean_scope == "image":
-        resized = resized - resized.mean(axis=(0, 1), keepdims=True)
-    for pid in range(n):
-        x, y = id_to_position(pid, shape)
-        ox, oy = offsets[pid]
-        r0 = y * opts.cell + oy
-        c0 = x * opts.cell + ox
-        tile = resized[r0 : r0 + opts.crop, c0 : c0 + opts.crop, :].astype(np.float32)
-        if mirror[pid]:
-            tile = tile[:, ::-1, :]
-        if opts.mean_subtract and opts.mean_scope == "patch":
-            tile = tile - tile.mean(axis=(0, 1), keepdims=True)
+def _offsets(rng: np.random.Generator, n: int, dims: int, gap: int, jitter: bool) -> np.ndarray:
+    """Per-cell crop offsets in [0, gap]: drawn when jittering, else centred."""
+    if jitter:
+        return rng.integers(0, gap + 1, size=(n, dims)).astype(np.int64)
+    return np.full((n, dims), gap // 2, dtype=np.int64)
+
+
+def _cut(img: ImageTensor, meta: PuzzleMeta) -> np.ndarray:
+    """The instance's patches in slot order, cut from its source as ``meta`` says.
+
+    2D: resize to (cell*W) x (cell*H) and take ``meta.opts``' cell and crop.
+    3D: take the 120^3 region at ``meta.region_offset``, with fixed cell and
+    crop per grid; the mean is always each patch's own.
+    """
+    shape = GridShape(meta.grid)
+    opts = meta.opts
+    if shape.is_3d:
+        cell, crop = VOLUME_REGION // meta.grid[0], _3D_CROP[meta.grid[0]]
+        data = img.data[tuple(slice(o, o + VOLUME_REGION) for o in reversed(meta.region_offset))]
+    else:
+        cell, crop = opts.cell, opts.crop
+        data = resize_bilinear(img, (cell * meta.grid[0], cell * meta.grid[1])).data
+        if opts.mean_subtract and opts.mean_scope == "image":
+            data = data - data.mean(axis=(0, 1), keepdims=True)
+    patch_mean = opts.mean_subtract and (shape.is_3d or opts.mean_scope == "patch")
+    spatial = tuple(range(len(meta.grid)))
+    tiles = np.empty((shape.n,) + (crop,) * len(meta.grid) + data.shape[-1:], dtype=np.float32)
+    for pid in range(shape.n):
+        corner = [p * cell + o for p, o in zip(id_to_position(pid, shape), meta.offsets[pid])]
+        tile = data[tuple(slice(c, c + crop) for c in reversed(corner))].astype(np.float32)
+        if meta.mirror[pid]:
+            tile = tile[..., ::-1, :]  # flip x
+        if patch_mean:
+            tile = tile - tile.mean(axis=spatial, keepdims=True)
         tiles[pid] = tile
-    patches = np.empty_like(tiles)
-    patches[np.arange(n)] = tiles[truth]
-    return patches
+    return tiles[meta.truth]
 
 
 def make_puzzle_2d(
@@ -384,51 +397,18 @@ def make_puzzle_2d(
     check_crop_2d(opts)
     shape = GridShape((W, H))
     n = shape.n
-    gap = opts.cell - opts.crop
-    resized = resize_bilinear(img, (opts.cell * W, opts.cell * H)).data
-
-    if opts.jitter:
-        offsets = rng.integers(0, gap + 1, size=(n, 2)).astype(np.int64)
-    else:
-        offsets = np.full((n, 2), gap // 2, dtype=np.int64)
+    offsets = _offsets(rng, n, 2, opts.cell - opts.crop, opts.jitter)
     mirror = rng.random(n) < opts.mirror_p if opts.mirror_p > 0 else np.zeros(n, dtype=bool)
     truth = random_permutation(n, rng) if opts.scramble else np.arange(n, dtype=np.int64)
-
-    patches = _cut_2d(resized, shape, opts, offsets, mirror, truth)
     meta = PuzzleMeta(
         source=dict(source or {}),
         grid=shape.extents,
         opts=opts,
         offsets=offsets,
-        mirror=np.asarray(mirror, dtype=bool),
+        mirror=mirror,
         truth=truth,
     )
-    return PuzzleInstance(shape=shape, truth=truth, patches=patches, meta=meta)
-
-
-def _cut_3d(
-    region: np.ndarray,
-    shape: GridShape,
-    cell: int,
-    crop: int,
-    mean_subtract: bool,
-    offsets: np.ndarray,
-    truth: np.ndarray,
-) -> np.ndarray:
-    n = shape.n
-    c = region.shape[-1]
-    tiles = np.empty((n, crop, crop, crop, c), dtype=np.float32)
-    for pid in range(n):
-        x, y, z = id_to_position(pid, shape)
-        ox, oy, oz = offsets[pid]
-        z0, y0, x0 = z * cell + oz, y * cell + oy, x * cell + ox
-        tile = region[z0 : z0 + crop, y0 : y0 + crop, x0 : x0 + crop, :].astype(np.float32)
-        if mean_subtract:
-            tile = tile - tile.mean(axis=(0, 1, 2), keepdims=True)
-        tiles[pid] = tile
-    patches = np.empty_like(tiles)
-    patches[np.arange(n)] = tiles[truth]
-    return patches
+    return PuzzleInstance(shape=shape, truth=truth, patches=_cut(img, meta), meta=meta)
 
 
 def make_puzzle_3d(
@@ -448,23 +428,11 @@ def make_puzzle_3d(
         raise ValueError(f"volume must be at least {VOLUME_REGION}^3")
     shape = GridShape((per_axis,) * 3)
     n = shape.n
-    cell = VOLUME_REGION // per_axis
-    crop = _3D_CROP[per_axis]
-    gap = cell - crop
-
     region_offset = tuple(
         int(rng.integers(0, ext - VOLUME_REGION + 1)) for ext in (x_ext, y_ext, z_ext)
     )
-    rx, ry, rz = region_offset
-    region = vol.data[rz : rz + VOLUME_REGION, ry : ry + VOLUME_REGION, rx : rx + VOLUME_REGION, :]
-
-    if opts.jitter:
-        offsets = rng.integers(0, gap + 1, size=(n, 3)).astype(np.int64)
-    else:
-        offsets = np.full((n, 3), gap // 2, dtype=np.int64)
+    offsets = _offsets(rng, n, 3, VOLUME_REGION // per_axis - _3D_CROP[per_axis], opts.jitter)
     truth = random_permutation(n, rng) if opts.scramble else np.arange(n, dtype=np.int64)
-
-    patches = _cut_3d(region, shape, cell, crop, opts.mean_subtract, offsets, truth)
     meta = PuzzleMeta(
         source=dict(source or {}),
         grid=shape.extents,
@@ -474,7 +442,7 @@ def make_puzzle_3d(
         truth=truth,
         region_offset=region_offset,
     )
-    return PuzzleInstance(shape=shape, truth=truth, patches=patches, meta=meta)
+    return PuzzleInstance(shape=shape, truth=truth, patches=_cut(vol, meta), meta=meta)
 
 
 def regenerate(meta: PuzzleMeta) -> PuzzleInstance:
@@ -487,27 +455,9 @@ def regenerate(meta: PuzzleMeta) -> PuzzleInstance:
         img = load_image(src["path"])
     else:
         raise ValueError("meta.source names neither a synth kind nor a path")
-    shape = GridShape(meta.grid)
-    if len(meta.grid) == 3:
-        rx, ry, rz = meta.region_offset
-        region = img.data[
-            rz : rz + VOLUME_REGION, ry : ry + VOLUME_REGION, rx : rx + VOLUME_REGION, :
-        ]
-        per_axis = meta.grid[0]
-        patches = _cut_3d(
-            region,
-            shape,
-            VOLUME_REGION // per_axis,
-            _3D_CROP[per_axis],
-            meta.opts.mean_subtract,
-            meta.offsets,
-            meta.truth,
-        )
-    else:
-        W, H = meta.grid
-        resized = resize_bilinear(img, (meta.opts.cell * W, meta.opts.cell * H)).data
-        patches = _cut_2d(resized, shape, meta.opts, meta.offsets, meta.mirror, meta.truth)
-    return PuzzleInstance(shape=shape, truth=meta.truth.copy(), patches=patches, meta=meta)
+    return PuzzleInstance(
+        shape=GridShape(meta.grid), truth=meta.truth.copy(), patches=_cut(img, meta), meta=meta
+    )
 
 
 def synth_size_2d(shape: GridShape, opts: GenOptions) -> int:
@@ -598,7 +548,12 @@ def _parse_manifest(text: str, path: str) -> PuzzleMeta:
             [[int(v) for v in row.split(":")] for row in kv["offsets"].split(";")], dtype=np.int64
         )
         mirror = np.array([bool(int(v)) for v in kv["mirror"].split(",")], dtype=bool)
-        truth = as_permutation([int(v) for v in kv["truth"].split(",")], GridShape(grid).n)
+        n = GridShape(grid).n
+        truth = as_permutation([int(v) for v in kv["truth"].split(",")], n)
+        if offsets.shape != (n, len(grid)):
+            raise ValueError(f"offsets of shape {offsets.shape}, need {(n, len(grid))}")
+        if mirror.shape != (n,):
+            raise ValueError(f"{mirror.size} mirror flags, need {n}")
         source = {}
         for key, val in kv.items():
             if key.startswith("source_"):

@@ -454,6 +454,26 @@ class TestBadInput:
         assert err.startswith("error:") and "minimum of 4" in err and err.count("\n") == 1
         assert not (tmp_path / "new.jsw1").exists() and not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["train", "solve-model", "solve-oracle"])
+    def test_non_finite_patch_is_data_error(self, command, corpus_dir, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, root)
+        path = root / "inst_00002" / "patch_003.rten"
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        model = random_model(tmp_path / "m.jsw1")
+        argv = {
+            "train": ["train", "--corpus", str(root), "--out", str(tmp_path / "new.jsw1")],
+            "solve-model": ["solve", "--corpus", str(root), "--model", str(model),
+                            "--report", str(tmp_path / "r.jsonl")],
+            "solve-oracle": ["solve", "--corpus", str(root), "--oracle", "0.5",
+                             "--report", str(tmp_path / "r.jsonl")],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "patch_003.rten: non-finite value" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "new.jsw1").exists() and not (tmp_path / "r.jsonl").exists()
+
     def test_patch_of_another_shape_is_data_error(self, corpus_dir, tmp_path, capsys):
         root = tmp_path / "corpus"
         shutil.copytree(corpus_dir, root)

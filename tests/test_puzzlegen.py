@@ -1,6 +1,10 @@
 """Puzzle generation, image I/O, and corpus storage."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,15 @@ class TestRtenIO:
         for cut in (3, 7, 13, len(blob) - 2):
             path.write_bytes(blob[:cut])
             with pytest.raises(FormatError):
+                load_image(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "t.rten"
+        save_rten(ImageTensor(np.zeros((3, 3, 1))), path)
+        blob = path.read_bytes()  # 24 header bytes, then pixel 4 at byte 40
+        for value in (np.nan, np.inf, -np.inf):
+            path.write_bytes(blob[:40] + np.array(value, dtype="<f4").tobytes() + blob[44:])
+            with pytest.raises(FormatError, match=r"t\.rten: non-finite value \(byte offset 40\)"):
                 load_image(path)
 
     def test_missing_file(self, tmp_path):
@@ -343,6 +356,9 @@ class TestCorpusStorage:
             (r"(?m)^grid=.*$", "grid=0x4"),
             (r"(?m)^truth=.*$", "truth=0,0,1,2"),
             (r"(?m)^truth=.*$", "truth=0,1,2"),
+            (r"(?m)^offsets=.*$", "offsets=1:1"),
+            (r"(?m)^offsets=.*$", "offsets=1;1;1;1"),
+            (r"(?m)^mirror=.*$", "mirror=0"),
         ):
             text = re.sub(pattern, repl, good, count=1)
             assert text != good
@@ -378,3 +394,14 @@ class TestImageTensor:
         assert img.dims == (5, 3)
         vol = ImageTensor(np.zeros((2, 3, 4, 1)))  # Z=2, H=3, W=4
         assert vol.dims == (4, 3, 2)
+
+
+def test_demo_04_round_trips_and_regenerates():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "demos" / "04_puzzle_generation.py")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert "round trip intact: True" in lines
+    assert "regenerated from manifest, bit-identical: True" in lines

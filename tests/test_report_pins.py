@@ -1,4 +1,4 @@
-"""Report pins: small CLI runs whose report bytes must never change.
+"""Report, corpus and model pins: small CLI runs whose bytes must never change.
 
 A speedup must leave every report byte-identical.  Each case below runs one
 small ``solve`` or multi-cap ``bench`` and compares its report's sha256 with
@@ -6,6 +6,13 @@ a hash recorded before a rewrite (the ``solve`` pins before the ball kernel
 took its cached gather plan, the ``bench`` pins before ``bench`` cut every
 round cap from one solve), so a change that moves a single decision fails
 here, not only in the benchmark's seed-0 pins.
+
+The ``gen`` pins do the same for corpora, hashed as their sorted relative
+paths plus file bytes, and the ``train`` pin for the model trained on the
+first of them.  They were recorded before ``make_puzzle_2d``,
+``make_puzzle_3d`` and ``regenerate`` came to share one cutter, so a moved
+patch byte fails here before it moves a learned model or report; every
+pinned corpus must also come back bit for bit from ``regenerate``.
 """
 
 import hashlib
@@ -13,6 +20,8 @@ import hashlib
 import pytest
 
 from jigsolve.cli import EXIT_OK, main
+from jigsolve.puzzlegen import load_corpus, regenerate
+from test_cli import dir_digest
 
 PINS = {
     "3x3-oracle": (
@@ -70,3 +79,71 @@ def test_bench_report_bytes_are_pinned(case, tmp_path):
     report = tmp_path / "report.jsonl"
     assert main(["bench", *flags, "--report", str(report)]) == EXIT_OK
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+GEN_PINS = {
+    "2x2": (
+        ["--grid", "2x2", "--count", "20"],
+        "00e607ebcc8d33752c7599aec49b882215a60ea21e637892ddd8c77f131789d2",
+    ),
+    "3x3-cell-crop": (
+        ["--grid", "3x3", "--count", "4", "--cell", "20", "--crop", "12"],
+        "3f33f916cfa9625cc06c7028f4f3f3394110b46c0603057f9f869d38be3b65a6",
+    ),
+    "3x2-image-mean-mirrored": (
+        ["--grid", "3x2", "--count", "4", "--cell", "16", "--crop", "9", "--mean-scope", "image",
+         "--mirror-p", "1"],
+        "9c68d12ecd58f48e1bf63bd2cfc7eb0af61bb8b58efba1f34006fd4743be7596",
+    ),
+    "2x3-raw-solved-blobs": (
+        ["--grid", "2x3", "--count", "4", "--cell", "16", "--crop", "16", "--no-jitter",
+         "--no-scramble", "--no-mean-subtract", "--kind", "synth-blobs"],
+        "af834b4faf0f4c48fb73811c5929bca8a002b066131b8cccc7893ab3ed210ac5",
+    ),
+    "2x2x2": (
+        ["--grid", "2x2x2", "--count", "2"],
+        "cc120c49b7d7957d50eec70046d537786c7ba2e0088f8da514777b38b27c9c87",
+    ),
+    # 3D grids ignore --mean-scope: each patch still subtracts its own mean.
+    "3x3x3-centred-image-scope": (
+        ["--grid", "3x3x3", "--count", "2", "--no-jitter", "--mean-scope", "image"],
+        "2715f3b1cb61be94b8fa1fef3a7e897965421c4115c2d1a80efe26fe5da186e5",
+    ),
+    "2x2x2-raw-gradient": (
+        ["--grid", "2x2x2", "--count", "2", "--no-mean-subtract", "--volume-kind",
+         "synth-gradient"],
+        "64629907813acea2ad62b115cae492cbb2f7197944bab7b9a975460ad16b703f",
+    ),
+}
+
+# train --epochs 2 on the "2x2" corpus
+MODEL_PIN = "b818caa7fd3a24e3b76498332c13f40f62e8c9e412d987a96ce2cb370ff43bda"
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pins")
+    for case, (flags, _) in GEN_PINS.items():
+        assert main(["gen", *flags, "--seed", "3", "--out", str(root / case)]) == EXIT_OK
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(GEN_PINS))
+def test_corpus_bytes_are_pinned(case, corpora):
+    assert dir_digest(corpora / case) == GEN_PINS[case][1]
+
+
+@pytest.mark.parametrize("case", sorted(GEN_PINS))
+def test_regenerate_reproduces_pinned_corpus(case, corpora):
+    for inst in load_corpus(corpora / case):
+        again = regenerate(inst.meta)
+        assert again.patches.dtype == inst.patches.dtype
+        assert again.patches.tobytes() == inst.patches.tobytes()
+        assert (again.truth == inst.truth).all()
+
+
+def test_model_bytes_are_pinned(corpora, tmp_path):
+    model = tmp_path / "model.jsw1"
+    argv = ["train", "--corpus", str(corpora / "2x2"), "--out", str(model), "--epochs", "2"]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_PIN
