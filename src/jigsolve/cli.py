@@ -104,7 +104,10 @@ def cmd_gen(args) -> int:
         mean_scope=args.mean_scope,
         scramble=not args.no_scramble,
     )
-    if not shape.is_3d:  # 3D grids cut cells and crops of fixed size
+    _check_run_flags(args, [])
+    if shape.is_3d:  # 3D grids cut cells and crops of fixed size
+        _options(puzzlegen.check_grid_3d, shape.extents)
+    else:
         _check_gen_2d(shape, opts)
     kind = _synth_kind(args.volume_kind if shape.is_3d and args.volume_kind else args.kind)
     instances = puzzlegen.generate_corpus(kind, shape, args.count, args.seed, opts)

@@ -31,6 +31,14 @@ RTEN_VERSION = 1
 VOLUME_REGION = 120
 _3D_CROP = {2: 48, 3: 32}
 
+
+def check_grid_3d(grid: tuple[int, ...]) -> None:
+    """Refuse a 3D grid unless it is a cube whose side is a key of ``_3D_CROP``."""
+    if len(set(grid)) != 1 or grid[0] not in _3D_CROP:
+        cubes = " or ".join(f"{k}x{k}x{k}" for k in sorted(_3D_CROP))
+        raise ValueError(f"3D grids are {cubes}, got {'x'.join(map(str, grid))}")
+
+
 SYNTH_KINDS = ("gradient", "blobs", "mixed")
 MIN_SYNTH_SIZE = 16  # smallest side of a synthetic image or volume
 
@@ -90,6 +98,13 @@ class GenOptions:
 def check_crop_2d(opts: GenOptions) -> None:
     if opts.crop > opts.cell:  # a 2D crop is cut from inside its cell; 3D grids fix both
         raise ValueError(f"crop {opts.crop} exceeds cell {opts.cell}")
+
+
+def _cell_crop(grid: tuple[int, ...], opts: GenOptions) -> tuple[int, int]:
+    """Cell and crop side on ``grid``: ``opts``' in 2D, fixed by the cube's side in 3D."""
+    if len(grid) == 3:
+        return VOLUME_REGION // grid[0], _3D_CROP[grid[0]]
+    return opts.cell, opts.crop
 
 
 @dataclass(frozen=True)
@@ -361,11 +376,10 @@ def _cut(img: ImageTensor, meta: PuzzleMeta) -> np.ndarray:
     """
     shape = GridShape(meta.grid)
     opts = meta.opts
+    cell, crop = _cell_crop(meta.grid, opts)
     if shape.is_3d:
-        cell, crop = VOLUME_REGION // meta.grid[0], _3D_CROP[meta.grid[0]]
         data = img.data[tuple(slice(o, o + VOLUME_REGION) for o in reversed(meta.region_offset))]
     else:
-        cell, crop = opts.cell, opts.crop
         data = resize_bilinear(img, (cell * meta.grid[0], cell * meta.grid[1])).data
         if opts.mean_subtract and opts.mean_scope == "image":
             data = data - data.mean(axis=(0, 1), keepdims=True)
@@ -397,7 +411,8 @@ def make_puzzle_2d(
     check_crop_2d(opts)
     shape = GridShape((W, H))
     n = shape.n
-    offsets = _offsets(rng, n, 2, opts.cell - opts.crop, opts.jitter)
+    cell, crop = _cell_crop(shape.extents, opts)
+    offsets = _offsets(rng, n, 2, cell - crop, opts.jitter)
     mirror = rng.random(n) < opts.mirror_p if opts.mirror_p > 0 else np.zeros(n, dtype=bool)
     truth = random_permutation(n, rng) if opts.scramble else np.arange(n, dtype=np.int64)
     meta = PuzzleMeta(
@@ -421,8 +436,7 @@ def make_puzzle_3d(
     """Crop a random 120^3 region, cut into per_axis^3 cells, jitter-crop."""
     if not vol.is_3d:
         raise ValueError("make_puzzle_3d needs a volume")
-    if per_axis not in _3D_CROP:
-        raise ValueError(f"per_axis must be one of {sorted(_3D_CROP)}, got {per_axis}")
+    check_grid_3d((per_axis,) * 3)
     z_ext, y_ext, x_ext, _ = vol.data.shape
     if min(z_ext, y_ext, x_ext) < VOLUME_REGION:
         raise ValueError(f"volume must be at least {VOLUME_REGION}^3")
@@ -431,7 +445,8 @@ def make_puzzle_3d(
     region_offset = tuple(
         int(rng.integers(0, ext - VOLUME_REGION + 1)) for ext in (x_ext, y_ext, z_ext)
     )
-    offsets = _offsets(rng, n, 3, VOLUME_REGION // per_axis - _3D_CROP[per_axis], opts.jitter)
+    cell, crop = _cell_crop(shape.extents, opts)
+    offsets = _offsets(rng, n, 3, cell - crop, opts.jitter)
     truth = random_permutation(n, rng) if opts.scramble else np.arange(n, dtype=np.int64)
     meta = PuzzleMeta(
         source=dict(source or {}),
@@ -474,6 +489,8 @@ def generate_corpus(
     opts: GenOptions = GenOptions(),
 ) -> list[PuzzleInstance]:
     """Deterministic synthetic corpus; instance i uses the stream (seed, i)."""
+    if shape.is_3d:
+        check_grid_3d(shape.extents)
     instances = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
@@ -542,16 +559,21 @@ def _parse_manifest(text: str, path: str) -> PuzzleMeta:
             mean_scope=kv["mean_scope"],
             scramble=bool(int(kv["scramble"])),
         )
+        n = GridShape(grid).n
         if len(grid) == 2:
             check_crop_2d(opts)
+        else:
+            check_grid_3d(grid)
         offsets = np.array(
             [[int(v) for v in row.split(":")] for row in kv["offsets"].split(";")], dtype=np.int64
         )
         mirror = np.array([bool(int(v)) for v in kv["mirror"].split(",")], dtype=bool)
-        n = GridShape(grid).n
         truth = as_permutation([int(v) for v in kv["truth"].split(",")], n)
         if offsets.shape != (n, len(grid)):
             raise ValueError(f"offsets of shape {offsets.shape}, need {(n, len(grid))}")
+        cell, crop = _cell_crop(grid, opts)
+        if offsets.min() < 0 or offsets.max() > cell - crop:
+            raise ValueError(f"offsets must lie in [0, {cell - crop}] for cell {cell}, crop {crop}")
         if mirror.shape != (n,):
             raise ValueError(f"{mirror.size} mirror flags, need {n}")
         source = {}
@@ -560,6 +582,10 @@ def _parse_manifest(text: str, path: str) -> PuzzleMeta:
                 name = key[len("source_") :]
                 source[name] = int(val) if name in ("size", "seed") else val
         region = tuple(map(int, kv["region_offset"].split(","))) if "region_offset" in kv else ()
+        if len(grid) == 3:
+            top = source["size"] - VOLUME_REGION if "size" in source else math.inf
+            if len(region) != 3 or not all(0 <= r <= top for r in region):
+                raise ValueError(f"region_offset must be three corners in [0, {top}], got {region}")
         return PuzzleMeta(
             source=source, grid=grid, opts=opts, offsets=offsets, mirror=mirror, truth=truth,
             region_offset=region,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -208,31 +208,50 @@ class OracleScorer:
 # linear model
 
 
+class Params(NamedTuple):
+    """The linear model's four arrays, or their gradients, in JSW1 order."""
+
+    unary_w: np.ndarray
+    unary_b: np.ndarray
+    binary_w: np.ndarray
+    binary_b: np.ndarray
+
+    def scaled(self, factor: float) -> "Params":
+        return Params(*(a * factor for a in self))
+
+
+def param_shapes(n: int, d: int) -> Params:
+    """Each array's shape for n cells and d-wide feature rows."""
+    return Params((n * n, n * d), (n * n,), (NUM_REL_CLASSES, 2 * d), (NUM_REL_CLASSES,))
+
+
 @dataclass
 class LinearScorer:
     """Two linear heads over hand-crafted features.
 
     The unary head maps the flattened (n*d) feature set to n*n logits, so it
     is sensitive to the order of the input rows.  The binary head maps each
-    ordered pair concatenation (2d) to 9 relative-position logits.
+    ordered pair concatenation (2d) to 9 relative-position logits.  The four
+    arrays are laid out as :func:`param_shapes` says.
     """
 
     shape: GridShape
     recipe: int
     d: int
-    unary_w: np.ndarray  # (n^2, n*d)
-    unary_b: np.ndarray  # (n^2,)
-    binary_w: np.ndarray  # (9, 2d)
-    binary_b: np.ndarray  # (9,)
+    unary_w: np.ndarray
+    unary_b: np.ndarray
+    binary_w: np.ndarray
+    binary_b: np.ndarray
 
     def __post_init__(self):
-        n, d = self.shape.n, self.d
-        if self.unary_w.shape != (n * n, n * d) or self.unary_b.shape != (n * n,):
-            raise ValueError("unary head shape mismatch")
-        if self.binary_w.shape != (NUM_REL_CLASSES, 2 * d) or self.binary_b.shape != (
-            NUM_REL_CLASSES,
-        ):
-            raise ValueError("binary head shape mismatch")
+        for name, arr, want in zip(Params._fields, self.params, param_shapes(self.shape.n, self.d)):
+            if arr.shape != want:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
+
+    @property
+    def params(self) -> Params:
+        """The four arrays themselves, not copies."""
+        return Params(*(getattr(self, name) for name in Params._fields))
 
     @property
     def unary_param_count(self) -> int:
@@ -253,16 +272,8 @@ class LinearScorer:
     ) -> "LinearScorer":
         if recipe is None:
             recipe = FEATURE_RECIPE_3D if shape.is_3d else FEATURE_RECIPE_2D
-        n = shape.n
-        return cls(
-            shape=shape,
-            recipe=recipe,
-            d=d,
-            unary_w=rng.uniform(-scale, scale, size=(n * n, n * d)),
-            unary_b=rng.uniform(-scale, scale, size=n * n),
-            binary_w=rng.uniform(-scale, scale, size=(NUM_REL_CLASSES, 2 * d)),
-            binary_b=rng.uniform(-scale, scale, size=NUM_REL_CLASSES),
-        )
+        return cls(shape, recipe, d,
+                   *(rng.uniform(-scale, scale, size=size) for size in param_shapes(shape.n, d)))
 
     def rows(self, puzzle: PuzzleInstance) -> np.ndarray:
         return features_of(puzzle)
@@ -295,30 +306,7 @@ def linear_score(model: LinearScorer, F) -> tuple[np.ndarray, Optional[np.ndarra
     return U, V
 
 
-@dataclass
-class Grads:
-    unary_w: np.ndarray
-    unary_b: np.ndarray
-    binary_w: np.ndarray
-    binary_b: np.ndarray
-
-    def __iadd__(self, other: "Grads") -> "Grads":
-        self.unary_w += other.unary_w
-        self.unary_b += other.unary_b
-        self.binary_w += other.binary_w
-        self.binary_b += other.binary_b
-        return self
-
-    def scaled(self, factor: float) -> "Grads":
-        return Grads(
-            self.unary_w * factor,
-            self.unary_b * factor,
-            self.binary_w * factor,
-            self.binary_b * factor,
-        )
-
-
-def loss_and_grad(model: LinearScorer, F, truth, shape: GridShape) -> tuple[float, Grads]:
+def loss_and_grad(model: LinearScorer, F, truth, shape: GridShape) -> tuple[float, Params]:
     """Cross-entropy of both heads against the true cells, with exact grads.
 
     Unary: mean over slots of CE(U row s, truth[s]).  Binary (2D only): mean
@@ -328,7 +316,7 @@ def loss_and_grad(model: LinearScorer, F, truth, shape: GridShape) -> tuple[floa
     return _loss_and_grad(model, F, truth, shape, U, V)
 
 
-def _loss_and_grad(model: LinearScorer, F, truth, shape: GridShape, U, V) -> tuple[float, Grads]:
+def _loss_and_grad(model: LinearScorer, F, truth, shape: GridShape, U, V) -> tuple[float, Params]:
     # loss_and_grad, given the tables that linear_score(model, F) returned.
     F = np.asarray(F, dtype=np.float64)
     t = np.asarray(truth, dtype=np.int64)
@@ -357,7 +345,7 @@ def _loss_and_grad(model: LinearScorer, F, truth, shape: GridShape, U, V) -> tup
         g_bw = dP.T @ X
         g_bb = dP.sum(axis=0)
 
-    return loss_u + loss_b, Grads(g_uw, g_ub, g_bw, g_bb)
+    return loss_u + loss_b, Params(g_uw, g_ub, g_bw, g_bb)
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +374,33 @@ class TrainResult:
     epoch_losses: list[float]
 
 
+def _summed(passes: Iterable[tuple[float, Params]], losses: list[float]) -> Params:
+    # The passes' gradients summed in order, into the first pass's arrays;
+    # each pass's loss is appended to ``losses``.
+    passes = iter(passes)
+    loss, total = next(passes)
+    losses.append(loss)
+    for loss, grads in passes:
+        losses.append(loss)
+        for acc, g in zip(total, grads):
+            acc += g
+    return total
+
+
 def _sample_pass(
     model: LinearScorer,
     feats: np.ndarray,
     truth: np.ndarray,
     shape: GridShape,
     opts: SolverOptions,
-) -> tuple[float, Grads]:
+) -> tuple[float, Params]:
     # One sample's round-averaged loss/grad under iterative reorganization:
     # the solver's own loop, with the loss of each arrangement it scores.
-    passes = [_loss_and_grad(model, F, t, shape, U, V)
-              for F, t, U, V, _, _ in search.rounds(model, feats, truth, shape, opts)]
-    grads = passes[0][1]
-    for _, g in passes[1:]:
-        grads += g
-    return sum(loss for loss, _ in passes) / len(passes), grads.scaled(1.0 / len(passes))
+    losses: list[float] = []
+    passes = (_loss_and_grad(model, F, t, shape, U, V)
+              for F, t, U, V, _, _ in search.rounds(model, feats, truth, shape, opts))
+    grads = _summed(passes, losses)
+    return sum(losses) / len(losses), grads.scaled(1.0 / len(losses))
 
 
 def train_sgd(
@@ -427,20 +427,10 @@ def train_sgd(
         losses = []
         for lo in range(0, len(order), opts.batch_size):
             batch = order[lo : lo + opts.batch_size]
-            acc: Optional[Grads] = None
-            for i in batch:
-                loss, grads = _sample_pass(model, all_feats[i], corpus[i].truth, shape, replay_opts)
-                losses.append(loss)
-                if acc is None:
-                    acc = grads
-                else:
-                    acc += grads
-            assert acc is not None
-            step = acc.scaled(opts.learning_rate / len(batch))
-            model.unary_w -= step.unary_w
-            model.unary_b -= step.unary_b
-            model.binary_w -= step.binary_w
-            model.binary_b -= step.binary_b
+            grads = _summed((_sample_pass(model, all_feats[i], corpus[i].truth, shape, replay_opts)
+                             for i in batch), losses)
+            for param, step in zip(model.params, grads.scaled(opts.learning_rate / len(batch))):
+                param -= step
         epoch_losses.append(float(np.mean(losses)))
     return TrainResult(model=model, epoch_losses=epoch_losses)
 
@@ -456,7 +446,7 @@ def save_model(model: LinearScorer, path) -> None:
         fh.write(struct.pack("<II", MODEL_VERSION, len(ext)))
         fh.write(struct.pack(f"<{len(ext)}I", *ext))
         fh.write(struct.pack("<II", model.d, model.recipe))
-        for arr in (model.unary_w, model.unary_b, model.binary_w, model.binary_b):
+        for arr in model.params:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
@@ -475,10 +465,8 @@ def load_model(path) -> LinearScorer:
         feature_dim(recipe, 1)  # rejects an unknown recipe
         off = 20 + 4 * rank
         shape = GridShape(ext)
-        n = shape.n
-        sizes = [(n * n, n * d), (n * n,), (NUM_REL_CLASSES, 2 * d), (NUM_REL_CLASSES,)]
         arrays = []
-        for sz in sizes:
+        for sz in param_shapes(shape.n, d):
             count = int(np.prod(sz))
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
             off += 4 * count
@@ -489,7 +477,4 @@ def load_model(path) -> LinearScorer:
         raise FormatError(f"{path}: malformed model file: {exc}") from exc
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} trailing bytes after the model")
-    return LinearScorer(
-        shape=shape, recipe=int(recipe), d=int(d),
-        unary_w=arrays[0], unary_b=arrays[1], binary_w=arrays[2], binary_b=arrays[3],
-    )
+    return LinearScorer(shape, int(recipe), int(d), *arrays)

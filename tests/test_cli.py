@@ -74,6 +74,13 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def corpus_3d_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli3d") / "corpus"
+    assert main(["gen", "--grid", "2x2x2", "--count", "1", "--out", str(root)]) == EXIT_OK
+    return root
+
+
 class TestGen:
     def test_writes_instances(self, corpus_dir):
         assert len(list(corpus_dir.glob("inst_*"))) == 16
@@ -397,6 +404,11 @@ class TestBadInput:
         ["gen", "--grid", "2x2", "--out", "{out}", "--crop", "-1"],
         ["gen", "--grid", "2x2", "--out", "{out}", "--cell", "20", "--crop", "2"],
         ["gen", "--grid", "2x2", "--out", "{out}", "--cell", "4", "--crop", "4"],
+        ["gen", "--grid", "4x4x4", "--out", "{out}"],
+        ["gen", "--grid", "2x3x2", "--out", "{out}"],
+        ["gen", "--grid", "3x3x2", "--out", "{out}"],
+        ["gen", "--grid", "2x2", "--out", "{out}", "--count", "0"],
+        ["gen", "--grid", "2x2", "--out", "{out}", "--count", "-3"],
     ])
     def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -406,21 +418,42 @@ class TestBadInput:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("pattern,repl", [
-        (r"(?m)^cell=.*\n", ""),
-        (r"(?m)^truth=.*$", "truth=0,0,1,2"),
-        (r"(?m)^crop=.*$", "crop=13"),
-    ])
-    def test_bad_manifest_is_data_error(self, pattern, repl, corpus_dir, tmp_path, capsys):
+    @staticmethod
+    def solve_edited(corpus, inst, pattern, repl, tmp_path, capsys):
+        """``solve`` on a copy of ``corpus`` with ``inst``'s manifest edited: exit 3, one line."""
         root = tmp_path / "corpus"
-        shutil.copytree(corpus_dir, root)
-        manifest = root / "inst_00003" / "manifest.txt"
-        manifest.write_text(re.sub(pattern, repl, manifest.read_text(), count=1))
+        shutil.copytree(corpus, root)
+        manifest = root / inst / "manifest.txt"
+        text = manifest.read_text()
+        edited = re.sub(pattern, repl, text, count=1)
+        assert edited != text
+        manifest.write_text(edited)
         code = main(["solve", "--corpus", str(root), "--oracle", "0.5",
                      "--report", str(tmp_path / "r.jsonl")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:") and "manifest" in err and err.count("\n") == 1
+
+    # cell 12, crop 8: every offset lies in [0, 4]
+    @pytest.mark.parametrize("pattern,repl", [
+        (r"(?m)^cell=.*\n", ""),
+        (r"(?m)^truth=.*$", "truth=0,0,1,2"),
+        (r"(?m)^crop=.*$", "crop=13"),
+        (r"(?m)^offsets=\d+:\d+", "offsets=9:9"),
+        (r"(?m)^offsets=\d+:\d+", "offsets=-1:0"),
+    ])
+    def test_bad_manifest_is_data_error(self, pattern, repl, corpus_dir, tmp_path, capsys):
+        self.solve_edited(corpus_dir, "inst_00003", pattern, repl, tmp_path, capsys)
+
+    # 2x2x2: cell 60, crop 48, a 120^3 region of a 120^3 volume
+    @pytest.mark.parametrize("pattern,repl", [
+        (r"(?m)^offsets=\d+:\d+:\d+", "offsets=99:0:0"),
+        (r"(?m)^region_offset=.*$", "region_offset=500,0,0"),
+        (r"(?m)^region_offset=.*\n", ""),
+        (r"(?m)^grid=.*$", "grid=4x2x1"),
+    ])
+    def test_bad_3d_manifest_is_data_error(self, pattern, repl, corpus_3d_dir, tmp_path, capsys):
+        self.solve_edited(corpus_3d_dir, "inst_00000", pattern, repl, tmp_path, capsys)
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--corpus", "{corpus}", "--model", "{dir}", "--report", "{out}"],

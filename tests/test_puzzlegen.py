@@ -359,6 +359,8 @@ class TestCorpusStorage:
             (r"(?m)^offsets=.*$", "offsets=1:1"),
             (r"(?m)^offsets=.*$", "offsets=1;1;1;1"),
             (r"(?m)^mirror=.*$", "mirror=0"),
+            (r"(?m)^offsets=\d+:\d+", "offsets=5:0"),  # cell 12, crop 8: offsets lie in [0, 4]
+            (r"(?m)^offsets=\d+:\d+", "offsets=0:-1"),
         ):
             text = re.sub(pattern, repl, good, count=1)
             assert text != good
@@ -368,6 +370,11 @@ class TestCorpusStorage:
 
 
 class TestGenerateCorpus:
+    @pytest.mark.parametrize("grid", [(4, 4, 4), (2, 3, 2), (3, 3, 2)])
+    def test_3d_grid_is_a_cube_it_can_cut(self, grid):
+        with pytest.raises(ValueError, match="3D grids are 2x2x2 or 3x3x3"):
+            generate_corpus("mixed", GridShape(grid), 1, 0)
+
     def test_deterministic(self):
         a = generate_corpus("mixed", S2, 4, 17, SMALL_GEN)
         b = generate_corpus("mixed", S2, 4, 17, SMALL_GEN)

@@ -13,6 +13,11 @@ first of them.  They were recorded before ``make_puzzle_2d``,
 ``make_puzzle_3d`` and ``regenerate`` came to share one cutter, so a moved
 patch byte fails here before it moves a learned model or report; every
 pinned corpus must also come back bit for bit from ``regenerate``.
+
+The ``train`` runs also pin their ``--log`` bytes, and ``solve --model``
+pins a report of the trained model.  These were recorded before the linear
+model's init, gradients, SGD step and JSW1 file came to read one parameter
+layout, so a reordered draw or float operation fails here.
 """
 
 import hashlib
@@ -116,8 +121,28 @@ GEN_PINS = {
     ),
 }
 
-# train --epochs 2 on the "2x2" corpus
+# train --epochs 2 on the "2x2" corpus: the model and the --log
 MODEL_PIN = "b818caa7fd3a24e3b76498332c13f40f62e8c9e412d987a96ce2cb370ff43bda"
+LOG_PIN = "88e88d512555c58de3b84e01d0f4b8d8cbd6318fa4cf657601d5ecaef9e18e09"
+
+# train --epochs 2 on more corpora: (flags, model, --log)
+TRAIN_PINS = {
+    # 3D: no pair head, so every binary gradient is zero
+    "2x2x2": (
+        [],
+        "b8a3e1aab7fc11aa43509a8a93194fcf7d8121f03e4e978ce88a01fc86c26c9d",
+        "3ce2f7f638081852ba3de906cc79890ae79467c4bc67530bda16d715dca5b73e",
+    ),
+    # 4 samples in batches of 3: the last batch holds one
+    "3x3-cell-crop": (
+        ["--no-binary", "--batch-size", "3", "--train-rounds", "2", "--radius", "2"],
+        "a2f383b10606eff53a4ab87e44cf873730a0cd2f6135bca99f1591c7fab98dc7",
+        "0198d851f3032c16101c0101ca1cf408c32ab7a5ea935be8b2bffa137eb8936e",
+    ),
+}
+
+# solve --corpus <2x2> --model model.jsw1, the MODEL_PIN model
+SOLVE_MODEL_PIN = "e0e1669a4f14e3148eb353edc29e595a76f3b4c3cf362fa1810d8a5ea53ca445"
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +167,35 @@ def test_regenerate_reproduces_pinned_corpus(case, corpora):
         assert (again.truth == inst.truth).all()
 
 
-def test_model_bytes_are_pinned(corpora, tmp_path):
-    model = tmp_path / "model.jsw1"
-    argv = ["train", "--corpus", str(corpora / "2x2"), "--out", str(model), "--epochs", "2"]
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def train_digests(corpus, out_dir, flags) -> tuple[str, str]:
+    """``train --epochs 2`` into ``out_dir/model.jsw1``: the model's and the log's sha256."""
+    model, log = out_dir / "model.jsw1", out_dir / "train.log"
+    argv = ["train", "--corpus", str(corpus), "--out", str(model), "--epochs", "2",
+            "--log", str(log), *flags]
     assert main(argv) == EXIT_OK
-    assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_PIN
+    return sha256(model), sha256(log)
+
+
+def test_model_bytes_are_pinned(corpora, tmp_path):
+    assert train_digests(corpora / "2x2", tmp_path, []) == (MODEL_PIN, LOG_PIN)
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_PINS))
+def test_train_bytes_are_pinned(case, corpora, tmp_path):
+    flags, model, log = TRAIN_PINS[case]
+    assert train_digests(corpora / case, tmp_path, flags) == (model, log)
+
+
+def test_model_solve_report_is_pinned(corpora, tmp_path, monkeypatch):
+    # The report embeds the --model string, so the model is named relative
+    # to the working directory, not by its temporary absolute path.
+    train_digests(corpora / "2x2", tmp_path, [])
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--corpus", str(corpora / "2x2"), "--model", "model.jsw1",
+            "--report", "report.jsonl"]
+    assert main(argv) == EXIT_OK
+    assert sha256(tmp_path / "report.jsonl") == SOLVE_MODEL_PIN

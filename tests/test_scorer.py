@@ -1,6 +1,10 @@
 """Oracle and linear score providers, training, and model serialization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +331,14 @@ class TestLinearScore:
         _, V = linear_score(model, np.zeros((8, 16)))
         assert V is None
 
+    @pytest.mark.parametrize("field", ["unary_w", "unary_b", "binary_w", "binary_b"])
+    def test_wrong_shaped_array_rejected(self, field):
+        model = LinearScorer.init_random(S3, 22, np.random.default_rng(9))
+        arrays = model.params._asdict()
+        arrays[field] = arrays[field][..., :-1]
+        with pytest.raises(ValueError, match=field):
+            LinearScorer(shape=S3, recipe=model.recipe, d=22, **arrays)
+
 
 class TestLossAndGrad:
     def test_zero_model_loss_is_two_log9(self):
@@ -517,3 +529,31 @@ class TestSerialization:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             load_model(path)
+
+
+DEMO_03_STDOUT = """\
+generating corpora ...
+training: lr=0.3 batch=32 epochs=6 rounds/sample=5
+  epoch 1: mean loss 3.2922
+  epoch 2: mean loss 3.0286
+  epoch 3: mean loss 2.8931
+  epoch 4: mean loss 2.8017
+  epoch 5: mean loss 2.7305
+  epoch 6: mean loss 2.6910
+
+held-out exact recovery: 0.42  (chance is 1/24 = 0.042)
+
+saved 7344 bytes, magic b'JSW1'
+reloaded model matches: True
+"""
+
+
+def test_demo_03_trains_saves_and_reloads():
+    # The one demo that runs train_sgd, save_model and load_model; its
+    # stdout was recorded before they came to share one parameter layout.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "demos" / "03_training_walkthrough.py")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == DEMO_03_STDOUT
