@@ -70,14 +70,14 @@ def _synth_kind(flag: str) -> str:
     return kind
 
 
-def _check_gen_2d(shape, opts) -> None:
-    """Reject a 2D ``--cell``/``--crop`` that a synthetic corpus cannot be cut with or described by."""
-    _options(puzzlegen.check_crop_2d, opts)
+def _check_gen(shape, opts) -> None:
+    """Reject a grid, cell or crop that a synthetic corpus cannot be cut with or described by."""
+    _, crop = _options(puzzlegen.check_geometry, shape.extents, opts)  # fixed on 3D grids
     try:
-        scorer.check_tile((opts.crop, opts.crop, 1))
+        scorer.check_tile((crop,) * len(shape.extents) + (1,))
     except ValueError as exc:
-        raise UsageError(f"--crop {opts.crop}: {exc}") from None
-    size = puzzlegen.synth_size_2d(shape, opts)
+        raise UsageError(f"--crop {crop}: {exc}") from None
+    size = puzzlegen.synth_size(shape, opts)
     if size < puzzlegen.MIN_SYNTH_SIZE:
         raise UsageError(f"--cell {opts.cell} on a {shape} grid gives a synthetic image of "
                          f"{size} pixels a side, below the minimum of {puzzlegen.MIN_SYNTH_SIZE}")
@@ -105,10 +105,7 @@ def cmd_gen(args) -> int:
         scramble=not args.no_scramble,
     )
     _check_run_flags(args, [])
-    if shape.is_3d:  # 3D grids cut cells and crops of fixed size
-        _options(puzzlegen.check_grid_3d, shape.extents)
-    else:
-        _check_gen_2d(shape, opts)
+    _check_gen(shape, opts)
     kind = _synth_kind(args.volume_kind if shape.is_3d and args.volume_kind else args.kind)
     instances = puzzlegen.generate_corpus(kind, shape, args.count, args.seed, opts)
     puzzlegen.save_corpus(args.out, instances)
@@ -334,7 +331,7 @@ def cmd_selftest(args) -> int:
             center = grid.random_permutation(n, rng)
             perms = grid.all_permutations(n)
             for radius in range(n + 1):
-                got = sum(1 for _ in grid.enumerate_hamming_ball(center, radius))
+                got = len(grid.enumerate_hamming_ball(center, radius))
                 want = grid.hamming_ball_size(n, radius)
                 dists = (perms != center[None, :]).sum(axis=1)
                 brute = int(np.count_nonzero(dists <= radius))

@@ -1,9 +1,10 @@
 """Puzzle instance construction: image I/O, synthetic sources, crops, corpora.
 
 Geometry follows the 85-per-cell / 64-crop 2D protocol and the 120^3-region
-3D protocol (60^3 or 40^3 cells with 48^3 / 32^3 jittered sub-crops).  The
-makers only check their inputs and draw an instance's metadata; one cutter
-turns a source and that metadata into the patches, in 2D and 3D, so
+3D protocol (60^3 or 40^3 cells with 48^3 / 32^3 jittered sub-crops).  One
+maker draws an instance's metadata in 2D and 3D alike; ``PuzzleMeta`` refuses
+any metadata the cutter cannot cut, whether drawn or read from a manifest;
+one cutter turns a source and that metadata into the patches, so
 ``regenerate`` rebuilds every instance bit-exactly through the same path.
 
 File formats owned here:
@@ -17,7 +18,7 @@ File formats owned here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -30,14 +31,6 @@ RTEN_VERSION = 1
 
 VOLUME_REGION = 120
 _3D_CROP = {2: 48, 3: 32}
-
-
-def check_grid_3d(grid: tuple[int, ...]) -> None:
-    """Refuse a 3D grid unless it is a cube whose side is a key of ``_3D_CROP``."""
-    if len(set(grid)) != 1 or grid[0] not in _3D_CROP:
-        cubes = " or ".join(f"{k}x{k}x{k}" for k in sorted(_3D_CROP))
-        raise ValueError(f"3D grids are {cubes}, got {'x'.join(map(str, grid))}")
-
 
 SYNTH_KINDS = ("gradient", "blobs", "mixed")
 MIN_SYNTH_SIZE = 16  # smallest side of a synthetic image or volume
@@ -95,21 +88,29 @@ class GenOptions:
             raise ValueError("mirror_p must be in [0, 1]")
 
 
-def check_crop_2d(opts: GenOptions) -> None:
-    if opts.crop > opts.cell:  # a 2D crop is cut from inside its cell; 3D grids fix both
-        raise ValueError(f"crop {opts.crop} exceeds cell {opts.cell}")
+def check_geometry(grid: tuple[int, ...], opts: GenOptions) -> tuple[int, int]:
+    """Cell and crop side that ``_cut`` uses on ``grid``; ``ValueError`` if it cannot cut it.
 
-
-def _cell_crop(grid: tuple[int, ...], opts: GenOptions) -> tuple[int, int]:
-    """Cell and crop side on ``grid``: ``opts``' in 2D, fixed by the cube's side in 3D."""
+    A 3D grid is a cube whose side is a key of ``_3D_CROP``, which fixes its
+    cell and crop; a 2D grid takes ``opts``' cell and a crop from inside it.
+    """
     if len(grid) == 3:
+        if len(set(grid)) != 1 or grid[0] not in _3D_CROP:
+            cubes = " or ".join(f"{k}x{k}x{k}" for k in sorted(_3D_CROP))
+            raise ValueError(f"3D grids are {cubes}, got {'x'.join(map(str, grid))}")
         return VOLUME_REGION // grid[0], _3D_CROP[grid[0]]
+    if opts.crop > opts.cell:
+        raise ValueError(f"crop {opts.crop} exceeds cell {opts.cell}")
     return opts.cell, opts.crop
 
 
 @dataclass(frozen=True)
 class PuzzleMeta:
-    """Everything needed to rebuild the instance bit-exactly."""
+    """Everything needed to rebuild the instance bit-exactly.
+
+    Construction raises ``ValueError`` on any record that ``_cut`` could not
+    cut as the maker drew it, so drawn and parsed records pass the same rules.
+    """
 
     source: dict
     grid: tuple[int, ...]
@@ -118,6 +119,27 @@ class PuzzleMeta:
     mirror: np.ndarray  # (n,) bool, per original cell ID
     truth: np.ndarray
     region_offset: tuple[int, ...] = ()  # 3D only: corner of the 120^3 region
+
+    def __post_init__(self):
+        shape = GridShape(self.grid)
+        cell, crop = check_geometry(shape.extents, self.opts)
+        n, dims = shape.n, len(shape.extents)
+        object.__setattr__(self, "truth", as_permutation(self.truth, n))
+        offsets = np.asarray(self.offsets)
+        if offsets.shape != (n, dims):
+            raise ValueError(f"offsets of shape {offsets.shape}, need {(n, dims)}")
+        if offsets.min() < 0 or offsets.max() > cell - crop:
+            raise ValueError(f"offsets must lie in [0, {cell - crop}] for cell {cell}, crop {crop}")
+        if np.shape(self.mirror) != (n,):
+            raise ValueError(f"{np.size(self.mirror)} mirror flags, need {n}")
+        if shape.is_3d:
+            if np.any(self.mirror):
+                flags = np.count_nonzero(self.mirror)
+                raise ValueError(f"3D patches are never mirrored, got {flags} mirror flags set")
+            region, src = self.region_offset, self.source
+            top = src["size"] - VOLUME_REGION if "size" in src else math.inf
+            if len(region) != 3 or not all(0 <= r <= top for r in region):
+                raise ValueError(f"region_offset must be three corners in [0, {top}], got {region}")
 
 
 @dataclass(frozen=True)
@@ -360,13 +382,6 @@ def synth_volume(kind: str, size: int, seed: int) -> ImageTensor:
 # puzzle construction
 
 
-def _offsets(rng: np.random.Generator, n: int, dims: int, gap: int, jitter: bool) -> np.ndarray:
-    """Per-cell crop offsets in [0, gap]: drawn when jittering, else centred."""
-    if jitter:
-        return rng.integers(0, gap + 1, size=(n, dims)).astype(np.int64)
-    return np.full((n, dims), gap // 2, dtype=np.int64)
-
-
 def _cut(img: ImageTensor, meta: PuzzleMeta) -> np.ndarray:
     """The instance's patches in slot order, cut from its source as ``meta`` says.
 
@@ -376,7 +391,7 @@ def _cut(img: ImageTensor, meta: PuzzleMeta) -> np.ndarray:
     """
     shape = GridShape(meta.grid)
     opts = meta.opts
-    cell, crop = _cell_crop(meta.grid, opts)
+    cell, crop = check_geometry(meta.grid, opts)
     if shape.is_3d:
         data = img.data[tuple(slice(o, o + VOLUME_REGION) for o in reversed(meta.region_offset))]
     else:
@@ -397,6 +412,36 @@ def _cut(img: ImageTensor, meta: PuzzleMeta) -> np.ndarray:
     return tiles[meta.truth]
 
 
+def _make(
+    img: ImageTensor, grid: tuple[int, ...], rng: np.random.Generator, opts: GenOptions,
+    source: Optional[dict],
+) -> PuzzleInstance:
+    """Draw an instance's metadata on ``grid`` and cut its patches from ``img``.
+
+    The draws come in a fixed order: the 3D region, the crop offsets (centred
+    without jitter), the 2D flips (only when ``opts.mirror_p > 0``), then the
+    scramble.
+    """
+    shape = GridShape(grid)
+    cell, crop = check_geometry(shape.extents, opts)
+    n, dims = shape.n, len(shape.extents)
+    region = ()
+    if shape.is_3d:
+        exts = img.data.shape[2::-1]  # (x, y, z)
+        if min(exts) < VOLUME_REGION:
+            raise ValueError(f"volume must be at least {VOLUME_REGION}^3")
+        region = tuple(int(rng.integers(0, ext - VOLUME_REGION + 1)) for ext in exts)
+    if opts.jitter:
+        offsets = rng.integers(0, cell - crop + 1, size=(n, dims)).astype(np.int64)
+    else:
+        offsets = np.full((n, dims), (cell - crop) // 2, dtype=np.int64)
+    flip = not shape.is_3d and opts.mirror_p > 0
+    mirror = rng.random(n) < opts.mirror_p if flip else np.zeros(n, dtype=bool)
+    truth = random_permutation(n, rng) if opts.scramble else np.arange(n, dtype=np.int64)
+    meta = PuzzleMeta(dict(source or {}), shape.extents, opts, offsets, mirror, truth, region)
+    return PuzzleInstance(shape=shape, truth=meta.truth, patches=_cut(img, meta), meta=meta)
+
+
 def make_puzzle_2d(
     img: ImageTensor,
     W: int,
@@ -408,22 +453,7 @@ def make_puzzle_2d(
     """Resize to (cell*W) x (cell*H), cut, jitter-crop, flip, scramble."""
     if img.is_3d:
         raise ValueError("make_puzzle_2d needs a 2D image")
-    check_crop_2d(opts)
-    shape = GridShape((W, H))
-    n = shape.n
-    cell, crop = _cell_crop(shape.extents, opts)
-    offsets = _offsets(rng, n, 2, cell - crop, opts.jitter)
-    mirror = rng.random(n) < opts.mirror_p if opts.mirror_p > 0 else np.zeros(n, dtype=bool)
-    truth = random_permutation(n, rng) if opts.scramble else np.arange(n, dtype=np.int64)
-    meta = PuzzleMeta(
-        source=dict(source or {}),
-        grid=shape.extents,
-        opts=opts,
-        offsets=offsets,
-        mirror=mirror,
-        truth=truth,
-    )
-    return PuzzleInstance(shape=shape, truth=truth, patches=_cut(img, meta), meta=meta)
+    return _make(img, (W, H), rng, opts, source)
 
 
 def make_puzzle_3d(
@@ -436,49 +466,30 @@ def make_puzzle_3d(
     """Crop a random 120^3 region, cut into per_axis^3 cells, jitter-crop."""
     if not vol.is_3d:
         raise ValueError("make_puzzle_3d needs a volume")
-    check_grid_3d((per_axis,) * 3)
-    z_ext, y_ext, x_ext, _ = vol.data.shape
-    if min(z_ext, y_ext, x_ext) < VOLUME_REGION:
-        raise ValueError(f"volume must be at least {VOLUME_REGION}^3")
-    shape = GridShape((per_axis,) * 3)
-    n = shape.n
-    region_offset = tuple(
-        int(rng.integers(0, ext - VOLUME_REGION + 1)) for ext in (x_ext, y_ext, z_ext)
-    )
-    cell, crop = _cell_crop(shape.extents, opts)
-    offsets = _offsets(rng, n, 3, cell - crop, opts.jitter)
-    truth = random_permutation(n, rng) if opts.scramble else np.arange(n, dtype=np.int64)
-    meta = PuzzleMeta(
-        source=dict(source or {}),
-        grid=shape.extents,
-        opts=opts,
-        offsets=offsets,
-        mirror=np.zeros(n, dtype=bool),
-        truth=truth,
-        region_offset=region_offset,
-    )
-    return PuzzleInstance(shape=shape, truth=truth, patches=_cut(vol, meta), meta=meta)
+    return _make(vol, (per_axis,) * 3, rng, opts, source)
+
+
+def _source(src: dict, dims: int) -> ImageTensor:
+    """The image (``dims`` 2) or volume (``dims`` 3) that ``src`` names."""
+    if "kind" in src:
+        maker = synth_volume if dims == 3 else synth_image
+        return maker(src["kind"], int(src["size"]), int(src["seed"]))
+    if "path" in src:
+        return load_image(src["path"])
+    raise ValueError("meta.source names neither a synth kind nor a path")
 
 
 def regenerate(meta: PuzzleMeta) -> PuzzleInstance:
     """Rebuild an instance bit-exactly from its metadata."""
-    src = meta.source
-    if "kind" in src:
-        maker = synth_volume if len(meta.grid) == 3 else synth_image
-        img = maker(src["kind"], int(src["size"]), int(src["seed"]))
-    elif "path" in src:
-        img = load_image(src["path"])
-    else:
-        raise ValueError("meta.source names neither a synth kind nor a path")
+    img = _source(meta.source, len(meta.grid))
     return PuzzleInstance(
         shape=GridShape(meta.grid), truth=meta.truth.copy(), patches=_cut(img, meta), meta=meta
     )
 
 
-def synth_size_2d(shape: GridShape, opts: GenOptions) -> int:
-    """Side of the square synthetic image that a 2D corpus on ``shape`` is cut from."""
-    W, H = shape.extents
-    return max(opts.cell * W, opts.cell * H)
+def synth_size(shape: GridShape, opts: GenOptions) -> int:
+    """Side of the square image or cube volume that a synthetic corpus on ``shape`` is cut from."""
+    return VOLUME_REGION if shape.is_3d else opts.cell * max(shape.extents)
 
 
 def generate_corpus(
@@ -489,23 +500,12 @@ def generate_corpus(
     opts: GenOptions = GenOptions(),
 ) -> list[PuzzleInstance]:
     """Deterministic synthetic corpus; instance i uses the stream (seed, i)."""
-    if shape.is_3d:
-        check_grid_3d(shape.extents)
+    check_geometry(shape.extents, opts)
     instances = []
     for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        src_seed = seed * 1_000_003 + i
-        if shape.is_3d:
-            vol = synth_volume(kind, VOLUME_REGION, src_seed)
-            src = {"kind": kind, "size": VOLUME_REGION, "seed": src_seed}
-            inst = make_puzzle_3d(vol, shape.extents[0], rng, opts, source=src)
-        else:
-            W, H = shape.extents
-            size = synth_size_2d(shape, opts)
-            img = synth_image(kind, size, src_seed)
-            src = {"kind": kind, "size": size, "seed": src_seed}
-            inst = make_puzzle_2d(img, W, H, rng, opts, source=src)
-        instances.append(inst)
+        src = {"kind": kind, "size": synth_size(shape, opts), "seed": seed * 1_000_003 + i}
+        img = _source(src, len(shape.extents))
+        instances.append(_make(img, shape.extents, np.random.default_rng([seed, i]), opts, src))
     return instances
 
 
@@ -514,17 +514,11 @@ def generate_corpus(
 
 
 def _manifest_lines(meta: PuzzleMeta) -> list[str]:
-    opts = meta.opts
-    lines = [
-        "format=jigsolve-corpus-v1",
-        "grid=" + "x".join(str(e) for e in meta.grid),
-        f"cell={opts.cell}",
-        f"crop={opts.crop}",
-        f"jitter={int(opts.jitter)}",
-        f"mirror_p={opts.mirror_p!r}",
-        f"mean_subtract={int(opts.mean_subtract)}",
-        f"mean_scope={opts.mean_scope}",
-        f"scramble={int(opts.scramble)}",
+    lines = ["format=jigsolve-corpus-v1", "grid=" + "x".join(str(e) for e in meta.grid)]
+    for f in fields(GenOptions):  # a flag as 0 or 1
+        val = getattr(meta.opts, f.name)
+        lines.append(f"{f.name}={int(val) if isinstance(f.default, bool) else val}")
+    lines += [
         "offsets=" + ";".join(":".join(str(v) for v in row) for row in meta.offsets),
         "mirror=" + ",".join(str(int(v)) for v in meta.mirror),
         "truth=" + ",".join(str(v) for v in meta.truth),
@@ -549,45 +543,24 @@ def _parse_manifest(text: str, path: str) -> PuzzleMeta:
     if kv.get("format") != "jigsolve-corpus-v1":
         raise FormatError(f"{path}: unknown manifest format {kv.get('format')!r}")
     try:
-        grid = tuple(int(v) for v in kv["grid"].split("x"))
-        opts = GenOptions(
-            cell=int(kv["cell"]),
-            crop=int(kv["crop"]),
-            jitter=bool(int(kv["jitter"])),
-            mirror_p=float(kv["mirror_p"]),
-            mean_subtract=bool(int(kv["mean_subtract"])),
-            mean_scope=kv["mean_scope"],
-            scramble=bool(int(kv["scramble"])),
-        )
-        n = GridShape(grid).n
-        if len(grid) == 2:
-            check_crop_2d(opts)
-        else:
-            check_grid_3d(grid)
-        offsets = np.array(
-            [[int(v) for v in row.split(":")] for row in kv["offsets"].split(";")], dtype=np.int64
-        )
-        mirror = np.array([bool(int(v)) for v in kv["mirror"].split(",")], dtype=bool)
-        truth = as_permutation([int(v) for v in kv["truth"].split(",")], n)
-        if offsets.shape != (n, len(grid)):
-            raise ValueError(f"offsets of shape {offsets.shape}, need {(n, len(grid))}")
-        cell, crop = _cell_crop(grid, opts)
-        if offsets.min() < 0 or offsets.max() > cell - crop:
-            raise ValueError(f"offsets must lie in [0, {cell - crop}] for cell {cell}, crop {crop}")
-        if mirror.shape != (n,):
-            raise ValueError(f"{mirror.size} mirror flags, need {n}")
+        opts = {}
+        for f in fields(GenOptions):  # a flag as 0 or 1
+            kind = type(f.default)
+            opts[f.name] = bool(int(kv[f.name])) if kind is bool else kind(kv[f.name])
         source = {}
         for key, val in kv.items():
             if key.startswith("source_"):
                 name = key[len("source_") :]
                 source[name] = int(val) if name in ("size", "seed") else val
+        offsets = [[int(v) for v in row.split(":")] for row in kv["offsets"].split(";")]
         region = tuple(map(int, kv["region_offset"].split(","))) if "region_offset" in kv else ()
-        if len(grid) == 3:
-            top = source["size"] - VOLUME_REGION if "size" in source else math.inf
-            if len(region) != 3 or not all(0 <= r <= top for r in region):
-                raise ValueError(f"region_offset must be three corners in [0, {top}], got {region}")
         return PuzzleMeta(
-            source=source, grid=grid, opts=opts, offsets=offsets, mirror=mirror, truth=truth,
+            source=source,
+            grid=tuple(int(v) for v in kv["grid"].split("x")),
+            opts=GenOptions(**opts),
+            offsets=np.array(offsets, dtype=np.int64),
+            mirror=np.array([bool(int(v)) for v in kv["mirror"].split(",")], dtype=bool),
+            truth=[int(v) for v in kv["truth"].split(",")],
             region_offset=region,
         )
     except (KeyError, ValueError) as exc:

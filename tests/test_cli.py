@@ -451,6 +451,7 @@ class TestBadInput:
         (r"(?m)^region_offset=.*$", "region_offset=500,0,0"),
         (r"(?m)^region_offset=.*\n", ""),
         (r"(?m)^grid=.*$", "grid=4x2x1"),
+        (r"(?m)^mirror=0", "mirror=1"),  # 3D patches are never flipped
     ])
     def test_bad_3d_manifest_is_data_error(self, pattern, repl, corpus_3d_dir, tmp_path, capsys):
         self.solve_edited(corpus_3d_dir, "inst_00000", pattern, repl, tmp_path, capsys)

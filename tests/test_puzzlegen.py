@@ -1,5 +1,6 @@
 """Puzzle generation, image I/O, and corpus storage."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -273,6 +274,42 @@ class TestRegeneration:
             assert (regenerate(inst.meta).patches == inst.patches).all()
 
 
+@pytest.fixture(scope="module")
+def drawn_metas():
+    """A drawn 2x2 record (cell 12, crop 8) and a 2x2x2 one (a 120^3 source), by dimension."""
+    return {
+        2: generate_corpus("mixed", S2, 1, 23, SMALL_GEN)[0].meta,
+        3: generate_corpus("mixed", GridShape((2, 2, 2)), 1, 24)[0].meta,
+    }
+
+
+class TestPuzzleMeta:
+    """``PuzzleMeta`` refuses every record that ``_cut`` cannot cut as drawn."""
+
+    @pytest.mark.parametrize("dims,change,message", [
+        (2, {"grid": (2, 2, 2, 2)}, "grid must be 2D or 3D"),
+        (2, {"opts": GenOptions(cell=8, crop=12)}, "crop 12 exceeds cell 8"),
+        (3, {"grid": (2, 2, 3)}, "3D grids are 2x2x2 or 3x3x3, got 2x2x3"),
+        (3, {"grid": (4, 4, 4)}, "3D grids are 2x2x2 or 3x3x3, got 4x4x4"),
+        (2, {"truth": [0, 0, 1, 2]}, "not a permutation"),
+        (2, {"truth": [0, 1, 2]}, "length 3, expected 4"),
+        (2, {"offsets": np.zeros((3, 2), dtype=np.int64)}, r"offsets of shape \(3, 2\)"),
+        (2, {"offsets": np.zeros((4, 3), dtype=np.int64)}, r"offsets of shape \(4, 3\)"),
+        (2, {"offsets": np.full((4, 2), 5)}, r"offsets must lie in \[0, 4\]"),
+        (2, {"offsets": np.full((4, 2), -1)}, r"offsets must lie in \[0, 4\]"),
+        (3, {"offsets": np.full((8, 3), 13)}, r"offsets must lie in \[0, 12\]"),
+        (2, {"mirror": np.zeros(3, dtype=bool)}, "3 mirror flags, need 4"),
+        (3, {"mirror": np.eye(8, dtype=bool)[0]}, "3D patches are never mirrored"),
+        (3, {"region_offset": ()}, "three corners"),
+        (3, {"region_offset": (0, 0)}, "three corners"),
+        (3, {"region_offset": (1, 0, 0)}, r"three corners in \[0, 0\]"),
+        (3, {"region_offset": (0, -1, 0)}, "three corners"),
+    ])
+    def test_each_rule_raises(self, dims, change, message, drawn_metas):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(drawn_metas[dims], **change)
+
+
 class TestTruthDistribution:
     def test_uniform_over_s4(self):
         counts = {}
@@ -338,6 +375,27 @@ class TestCorpusStorage:
         (tmp_path / "b" / "inst_00000").rename(tmp_path / "a" / "inst_00002")
         with pytest.raises(FormatError, match="inst_00002: grid 3x3 differs from 2x2"):
             load_corpus(tmp_path / "a")
+
+    def test_every_option_round_trips(self, tmp_path):
+        # Every field off its default, so a field the manifest drops or
+        # misreads comes back different.
+        opts = GenOptions(cell=14, crop=9, jitter=False, mirror_p=0.25, mean_subtract=False,
+                          mean_scope="image", scramble=False)
+        for f in dataclasses.fields(GenOptions):
+            assert getattr(opts, f.name) != f.default, f.name
+        save_corpus(tmp_path, generate_corpus("mixed", S2, 2, 21, opts))
+        for inst in load_corpus(tmp_path):
+            assert inst.meta.opts == opts
+            assert (regenerate(inst.meta).patches == inst.patches).all()
+
+    def test_3d_mirror_flag_rejected(self, tmp_path):
+        save_corpus(tmp_path, generate_corpus("mixed", GridShape((2, 2, 2)), 1, 22))
+        manifest = tmp_path / "inst_00000" / "manifest.txt"
+        good = manifest.read_text()
+        assert "mirror=0,0,0,0,0,0,0,0\n" in good
+        manifest.write_text(good.replace("mirror=0,", "mirror=1,", 1))
+        with pytest.raises(FormatError, match="3D patches are never mirrored"):
+            load_corpus(tmp_path)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises((FileNotFoundError, NotADirectoryError, FormatError)):

@@ -105,6 +105,12 @@ GEN_PINS = {
          "--no-scramble", "--no-mean-subtract", "--kind", "synth-blobs"],
         "af834b4faf0f4c48fb73811c5929bca8a002b066131b8cccc7893ab3ed210ac5",
     ),
+    # Scrambled 2D with no flip draw: recorded before the 2D and 3D makers
+    # came to share one body, which skips that draw here.
+    "3x3-unflipped": (
+        ["--grid", "3x3", "--count", "4", "--cell", "16", "--crop", "12", "--mirror-p", "0"],
+        "9679464e95e99405d93b540e71bc318c7739216c01ed6bb1eb01f1c8d5342dbb",
+    ),
     "2x2x2": (
         ["--grid", "2x2x2", "--count", "2"],
         "cc120c49b7d7957d50eec70046d537786c7ba2e0088f8da514777b38b27c9c87",

@@ -1,7 +1,12 @@
 """Hungarian seed + Hamming-ball refinement and the iterative solve loop."""
 
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,3 +535,21 @@ class TestOneLoop:
         with pytest.raises(RuntimeError, match="round 1") as info:
             solve_iterative(Broken(), inst, SolverOptions())
         assert isinstance(info.value.__cause__, ValueError)
+
+
+# sha256 of each demo's stdout, recorded before the 2D and 3D puzzle makers
+# came to share one body; both print only seeded results.
+DEMO_STDOUT = {
+    "01_solver_basics.py": "1d15170bd8cb5ed4ea27f87e560840bf15fa9c4b639fc85dd5be879aa028e6e0",
+    "02_noisy_oracle_study.py": "1d4b591b94bb1882bb8e39b882162b122440d786532631b278d7e5b5154088a7",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_STDOUT))
+def test_demo_stdout_is_pinned(demo):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, str(root / "demos" / demo)],
+                         capture_output=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr.decode()
+    assert hashlib.sha256(run.stdout).hexdigest() == DEMO_STDOUT[demo]
