@@ -137,18 +137,12 @@ def min_cost_assignment(costs) -> AssignmentResult:
                     break
                 if not free[c] or not _leads_back(moves, c, int(sigma[s])):
                     continue
+                # Never the last slot: there only the chosen column is free.
                 rest = [r for r in range(n) if free[r] and r != c]
-                if s + 1 < n:
-                    sub = m[s + 1 :, rest]
-                    sub_cols, sub_cost = _solve(sub)
-                    cand_cost = fixed + m[s, c] + sub_cost
-                    cand_completion = [rest[j] for j in sub_cols]
-                else:
-                    cand_cost = fixed + m[s, c]
-                    cand_completion = []
-                if cand_cost <= opt + tol:
+                sub_cols, sub_cost = _solve(m[s + 1 :, rest])
+                if fixed + m[s, c] + sub_cost <= opt + tol:
                     chosen = c
-                    completion = [c] + cand_completion
+                    completion = [c] + [rest[j] for j in sub_cols]
                     break
         assign[s] = chosen
         fixed += m[s, chosen]

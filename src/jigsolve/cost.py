@@ -4,7 +4,7 @@ The unary table ``U`` is row-stochastic, ``U[slot, orig]`` being the belief
 that the patch currently in ``slot`` came from original position ``orig``.
 The binary table ``V`` has shape ``(n, n, 9)``; ``V[p, q]`` is a distribution
 over the 9 relative-position classes for the ordered slot pair ``(p, q)``.
-Both are plain numpy arrays; validators below enforce the invariants.
+Plain numpy arrays; each solver entry checks them once with the validators below.
 
 Probabilities are clamped to ``PROB_FLOOR`` before the log so degenerate
 one-hot tables still give finite costs.

@@ -1,5 +1,8 @@
 """Grid geometry, permutation algebra, and the cached Hamming-ball table.
 
+A 2D cell pair's relative-position class, scalar, tabled or mirrored, is
+read off one 3x3 table indexed by the pair's offset.
+
 A puzzle configuration is a permutation over slot indices: ``assign[s]`` is
 the original-position ID of the patch currently sitting in slot ``s``.  The
 solved state is the identity permutation.  All functions here are pure and
@@ -38,22 +41,21 @@ class RelClass(IntEnum):
 
 NUM_REL_CLASSES = 9
 
-_MIRROR = {
-    RelClass.TOP: RelClass.BOTTOM,
-    RelClass.BOTTOM: RelClass.TOP,
-    RelClass.LEFT: RelClass.RIGHT,
-    RelClass.RIGHT: RelClass.LEFT,
-    RelClass.TOP_LEFT: RelClass.BOTTOM_RIGHT,
-    RelClass.TOP_RIGHT: RelClass.BOTTOM_LEFT,
-    RelClass.BOTTOM_LEFT: RelClass.TOP_RIGHT,
-    RelClass.BOTTOM_RIGHT: RelClass.TOP_LEFT,
-    RelClass.NONE: RelClass.NONE,
-}
+# Class of a pair whose first cell sits (dx, dy) from the second, at
+# [dy + 1, dx + 1]; the centre holds NONE.  Swapping the cells negates the
+# offset, so a class's mirror sits at its place in the point-reflected table.
+_OFFSET_CLASS = np.array(
+    [[RelClass.TOP_LEFT, RelClass.TOP, RelClass.TOP_RIGHT],
+     [RelClass.LEFT, RelClass.NONE, RelClass.RIGHT],
+     [RelClass.BOTTOM_LEFT, RelClass.BOTTOM, RelClass.BOTTOM_RIGHT]],
+    dtype=np.int8,
+)
+_OFFSET_CLASS.setflags(write=False)
 
 
 def mirror_class(rel: RelClass) -> RelClass:
     """Class obtained by swapping the two cells of the pair."""
-    return _MIRROR[RelClass(rel)]
+    return RelClass(int(_OFFSET_CLASS[::-1, ::-1][_OFFSET_CLASS == RelClass(rel)][0]))
 
 
 @dataclass(frozen=True)
@@ -133,16 +135,7 @@ def relative_type(id_a: int, id_b: int, shape: GridShape) -> RelClass:
     dy = ya - yb
     if max(abs(dx), abs(dy)) > 1:
         return RelClass.NONE
-    return {
-        (0, -1): RelClass.TOP,
-        (0, 1): RelClass.BOTTOM,
-        (-1, 0): RelClass.LEFT,
-        (1, 0): RelClass.RIGHT,
-        (-1, -1): RelClass.TOP_LEFT,
-        (1, -1): RelClass.TOP_RIGHT,
-        (-1, 1): RelClass.BOTTOM_LEFT,
-        (1, 1): RelClass.BOTTOM_RIGHT,
-    }[(dx, dy)]
+    return RelClass(int(_OFFSET_CLASS[dy + 1, dx + 1]))
 
 
 @lru_cache(maxsize=32)
@@ -152,12 +145,13 @@ def relation_table(shape: GridShape) -> np.ndarray:
     The diagonal (undefined pairs) is filled with ``NONE`` so the table can
     be used for vectorized gathers; callers must mask it out.
     """
-    n = shape.n
-    table = np.full((n, n), int(RelClass.NONE), dtype=np.int8)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                table[a, b] = int(relative_type(a, b, shape))
+    if shape.is_3d:
+        raise ValueError("relative position classes are not defined on 3D grids")
+    y, x = np.divmod(np.arange(shape.n), shape.extents[0])
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    table = _OFFSET_CLASS[dy.clip(-1, 1) + 1, dx.clip(-1, 1) + 1]
+    table[np.maximum(abs(dx), abs(dy)) > 1] = RelClass.NONE
     table.setflags(write=False)
     return table
 

@@ -332,15 +332,15 @@ def _gradient_field(rng: np.random.Generator, size: int, dims: int) -> np.ndarra
     # which leaves position-dependent texture even after mean subtraction.
     coef = rng.uniform(0.6, 1.2, size=dims)
     bias = rng.uniform(0.0, 0.3)
-    axes = np.meshgrid(*[np.arange(size) / size for _ in range(dims)], indexing="ij")
-    # axes are in (z, y, x) index order; coef[0] scales x, coef[1] y, coef[2] z
+    axes = np.ix_(*[np.arange(size) / size for _ in range(dims)])
+    # 1D ramps along the (z, y, x) index axes; coef[0] scales x, coef[1] y, coef[2] z
     val = bias + sum(c * ax for c, ax in zip(coef, reversed(axes)))
     return np.clip(val, 0.0, 1.0)
 
 
 def _blob_field(rng: np.random.Generator, size: int, dims: int) -> np.ndarray:
     k = int(rng.integers(3, 7))
-    grids = np.meshgrid(*[np.arange(size, dtype=np.float64) for _ in range(dims)], indexing="ij")
+    grids = np.ix_(*[np.arange(size, dtype=np.float64) for _ in range(dims)])
     val = np.zeros((size,) * dims)
     for _ in range(k):
         center = rng.uniform(0, size, size=dims)
@@ -593,7 +593,11 @@ def load_corpus(root) -> list[PuzzleInstance]:
             raise FormatError(f"{idir}: grid {shape} differs from {instances[0].shape}")
         paths = [idir / f"patch_{s:03d}.rten" for s in range(shape.n)]
         tiles = [load_image(path).data for path in paths]
-        tile = instances[0].patches.shape[1:] if instances else tiles[0].shape
+        crop = check_geometry(shape.extents, meta.opts)[1]
+        first = instances[0].patches.shape[1:] if instances else tiles[0].shape
+        tile = (crop,) * len(shape.extents) + first[-1:]
+        if instances and tile != first:
+            raise FormatError(f"{idir}: manifest tile {tile} differs from {first}")
         for path, t in zip(paths, tiles):
             if t.shape != tile:
                 raise FormatError(f"{path}: patch shape {t.shape} differs from {tile}")

@@ -41,11 +41,11 @@ DEFAULT_ORACLE_JITTER = 8.0
 
 
 def feature_dim(recipe: int, channels: int) -> int:
-    if recipe == FEATURE_RECIPE_2D:
-        return 6 * channels + 16
-    if recipe == FEATURE_RECIPE_3D:
-        return 8 * channels + 8
-    raise ValueError(f"unknown feature recipe {recipe}")
+    """Descriptor length: per-channel mean, std and 2 strips per axis, plus the pooled map."""
+    dims = {FEATURE_RECIPE_2D: 2, FEATURE_RECIPE_3D: 3}.get(recipe)
+    if dims is None:
+        raise ValueError(f"unknown feature recipe {recipe}")
+    return (2 + 2 * dims) * channels + POOL_CELLS[dims] ** dims
 
 
 def check_tile(tile: tuple[int, ...]) -> None:
@@ -74,16 +74,11 @@ def _descriptors(stack) -> np.ndarray:
     check_tile(arr.shape[1:])
     if not np.isfinite(arr).all():
         raise ValueError("patch values must be finite")
-    s = EDGE_STRIP
     spatial = tuple(range(1, arr.ndim - 1))
-    if arr.ndim == 4:
-        strips = [arr[:, :, :s], arr[:, :, -s:], arr[:, :s], arr[:, -s:]]  # L, R, T, B
-    else:
-        strips = [
-            arr[:, :, :, :s], arr[:, :, :, -s:],  # x faces
-            arr[:, :, :s], arr[:, :, -s:],  # y faces
-            arr[:, :s], arr[:, -s:],  # z faces
-        ]
+    # Two boundary strips per spatial axis, x (the last) first: basic slices,
+    # so each strip is a view and its mean sums in the tile's own order.
+    edges = (slice(None, EDGE_STRIP), slice(-EDGE_STRIP, None))
+    strips = [arr[(slice(None),) * ax + (edge,)] for ax in reversed(spatial) for edge in edges]
     # Block-average the channel-mean map down to the pooling grid, one
     # spatial axis at a time; array_split handles non-divisible extents.
     cells = POOL_CELLS[len(spatial)]

@@ -1,10 +1,10 @@
 """Full configuration predictor and the iterative reorganization loop.
 
-A round validates and takes ``-ln`` of each table once, seeds from the
-Hungarian solution of the unary terms, and ranks every permutation within a
-limited Hamming distance of the seed (radius 0 unless 2D binary terms apply)
-with one cost kernel over a cached identity-ball index; the parts at the
-winner are the round's cost.
+Every solver entry validates and takes ``-ln`` of its tables once, at one
+boundary.  A round seeds from the Hungarian solution of the unary terms and
+ranks every permutation within a limited Hamming distance of the seed
+(radius 0 unless 2D binary terms apply) with one cost kernel over a cached
+identity-ball index; the parts at the winner are the round's cost.
 
 ``rounds`` is the one reorganization loop, for solving and training replay
 alike: each round scores a puzzle's per-slot rows (computed once per puzzle)
@@ -204,6 +204,12 @@ def _refine(logu, logv, center, shape: GridShape, radius: int, cap: Optional[int
     return center[ball.table[row]], CostBreakdown(float(unary[row]), float(binary[row]))
 
 
+def _neg_logs(U, V, shape: GridShape):
+    # Every entry's table boundary: U, then V if given, checked for shape.n; their -ln.
+    logu = neg_log(validate_unary(U, shape.n))
+    return logu, None if V is None else neg_log(validate_binary(V, shape.n))
+
+
 def refine_with_binary(
     U,
     V,
@@ -222,25 +228,23 @@ def refine_with_binary(
         raise ValueError("binary refinement is not defined on 3D grids")
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    logv = None if V is None else neg_log(V)
-    config, _ = _refine(neg_log(U), logv, as_permutation(seed, shape.n), shape, radius, candidate_cap)
+    logu, logv = _neg_logs(U, V, shape)
+    config, _ = _refine(logu, logv, as_permutation(seed, shape.n), shape, radius, candidate_cap)
     return config
 
 
 def predict(U, V, shape: GridShape, opts: SolverOptions) -> tuple[np.ndarray, CostBreakdown]:
     """Hungarian seed refined over the Hamming ball, and the winner's cost.
 
-    Without binary terms the ball has radius 0: the seed wins, and its
-    assignment cost is the kernel's unary sum (one contiguous row, summed the
-    same way).
+    Without pair terms (``use_binary`` off, no V or a 3D grid) the ball has
+    radius 0: the seed wins, and its cost is the kernel's unary sum.
     """
-    logu = neg_log(validate_unary(U, shape.n))
-    if not (opts.use_binary and V is not None and not shape.is_3d):
-        seed = min_cost_assignment(logu)
+    pairs = opts.use_binary and V is not None and not shape.is_3d
+    logu, logv = _neg_logs(U, V if pairs else None, shape)
+    seed = min_cost_assignment(logu)
+    if logv is None:
         return seed.config, CostBreakdown(seed.cost, 0.0)
-    logv = neg_log(validate_binary(V, shape.n))
-    seed = min_cost_assignment(logu).config
-    return _refine(logu, logv, seed, shape, opts.radius, opts.candidate_cap)
+    return _refine(logu, logv, seed.config, shape, opts.radius, opts.candidate_cap)
 
 
 def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
@@ -251,9 +255,9 @@ def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
     n = shape.n
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refused for n > {BRUTE_FORCE_MAX_N}")
+    logu, logv = _neg_logs(U, V, shape)
     ball = _ball_index(n, n)
-    logv = None if V is None else neg_log(V)
-    totals = sum(_batch_costs(neg_log(U), logv, shape, np.arange(n), ball))
+    totals = sum(_batch_costs(logu, logv, shape, np.arange(n), ball))
     best = np.flatnonzero(totals == totals.min())
     return np.array(min(ball.table[best].tolist()), dtype=np.int64)
 

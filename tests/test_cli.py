@@ -477,6 +477,9 @@ class TestBadInput:
         shutil.copytree(corpus_dir, root)
         for path in root.glob("inst_*/patch_*.rten"):
             save_rten(ImageTensor(load_image(path).data[:3, :3]), path)
+        # The records must say crop 3 too, or load_corpus refuses the tiles first.
+        for manifest in root.glob("inst_*/manifest.txt"):
+            manifest.write_text(manifest.read_text().replace("\ncrop=8\n", "\ncrop=3\n"))
         model = random_model(tmp_path / "m.jsw1")
         argv = {
             "train": ["train", "--corpus", str(root), "--out", str(tmp_path / "new.jsw1")],
@@ -506,6 +509,29 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "patch_003.rten: non-finite value" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "new.jsw1").exists() and not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["train", "solve-model"])
+    @pytest.mark.parametrize("inst", ["inst_00000", "inst_00003"])
+    def test_manifest_crop_that_disagrees_with_its_patches_is_data_error(
+        self, command, inst, corpus_dir, tmp_path, capsys
+    ):
+        root = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, root)
+        manifest = root / inst / "manifest.txt"
+        text = manifest.read_text()
+        assert "\ncrop=8\n" in text
+        manifest.write_text(text.replace("\ncrop=8\n", "\ncrop=6\n"))
+        model = random_model(tmp_path / "m.jsw1")
+        argv = {
+            "train": ["train", "--corpus", str(root), "--out", str(tmp_path / "new.jsw1")],
+            "solve-model": ["solve", "--corpus", str(root), "--model", str(model),
+                            "--report", str(tmp_path / "r.jsonl")],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and inst in err and err.count("\n") == 1
+        assert "(6, 6, 1) differs from (8, 8, 1)" in err or "(8, 8, 1) differs from (6, 6, 1)" in err
         assert not (tmp_path / "new.jsw1").exists() and not (tmp_path / "r.jsonl").exists()
 
     def test_patch_of_another_shape_is_data_error(self, corpus_dir, tmp_path, capsys):

@@ -29,6 +29,30 @@ S3 = GridShape((3, 3))
 S333 = GridShape((3, 3, 3))
 
 
+REFERENCE_OFFSETS = {
+    (0, -1): RelClass.TOP,
+    (0, 1): RelClass.BOTTOM,
+    (-1, 0): RelClass.LEFT,
+    (1, 0): RelClass.RIGHT,
+    (-1, -1): RelClass.TOP_LEFT,
+    (1, -1): RelClass.TOP_RIGHT,
+    (-1, 1): RelClass.BOTTOM_LEFT,
+    (1, 1): RelClass.BOTTOM_RIGHT,
+}
+
+
+def reference_relation_table(shape):
+    """The scalar loop over the offset dict that the vectorised table must reproduce."""
+    n = shape.n
+    table = np.full((n, n), int(RelClass.NONE), dtype=np.int8)
+    for a in range(n):
+        for b in range(n):
+            (xa, ya), (xb, yb) = id_to_position(a, shape), id_to_position(b, shape)
+            if a != b and max(abs(xa - xb), abs(ya - yb)) <= 1:
+                table[a, b] = REFERENCE_OFFSETS[(xa - xb, ya - yb)]
+    return table
+
+
 def reference_ball(center, radius):
     """The nested-loop enumeration the cached table must reproduce row for row."""
     c = np.asarray(center, dtype=np.int64)
@@ -140,6 +164,28 @@ class TestRelativeType:
                     assert table[a, b] == int(RelClass.NONE)
                 else:
                     assert table[a, b] == int(relative_type(a, b, S3))
+
+    def test_relation_table_matches_reference(self):
+        for w in range(1, 12):
+            for h in range(1, 12):
+                shape = GridShape((w, h))
+                table = relation_table(shape)
+                assert table.dtype == np.int8 and not table.flags.writeable
+                assert table.tobytes() == reference_relation_table(shape).tobytes(), shape
+
+    def test_relation_table_rejects_3d(self):
+        for shape in (S333, GridShape((1, 1, 1))):
+            with pytest.raises(ValueError, match="not defined on 3D grids"):
+                relation_table(shape)
+
+    def test_mirror_class_negates_the_offset(self):
+        mirrored = {rel: REFERENCE_OFFSETS[(-dx, -dy)] for (dx, dy), rel in REFERENCE_OFFSETS.items()}
+        mirrored[RelClass.NONE] = RelClass.NONE
+        for rel in RelClass:
+            assert mirror_class(rel) is mirrored[rel]
+            assert mirror_class(int(rel)) is mirrored[rel]
+        with pytest.raises(ValueError):
+            mirror_class(9)
 
 
 class TestHamming:

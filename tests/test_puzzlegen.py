@@ -369,6 +369,24 @@ class TestCorpusStorage:
             with pytest.raises(FormatError, match=bad):
                 load_corpus(root)
 
+    def test_patches_must_have_the_records_tile(self, tmp_path):
+        # cell 12, crop 8; crop 6 keeps every offset in range, so only the
+        # stored 8x8 patches disagree with the record.
+        save_corpus(tmp_path, generate_corpus("mixed", S2, 2, 23, SMALL_GEN))
+        manifest = tmp_path / "inst_00000" / "manifest.txt"
+        good = manifest.read_text()
+        manifest.write_text(good.replace("\ncrop=8\n", "\ncrop=6\n"))
+        with pytest.raises(FormatError, match=r"patch_000.rten: patch shape \(8, 8, 1\) differs from \(6, 6, 1\)"):
+            load_corpus(tmp_path)
+        # A later record that agrees with its own patches must still agree
+        # with the first instance's.
+        manifest.write_text(good)
+        inst = generate_corpus("mixed", S2, 1, 24, GenOptions(cell=12, crop=6))
+        save_corpus(tmp_path / "other", inst)
+        (tmp_path / "other" / "inst_00000").rename(tmp_path / "inst_00002")
+        with pytest.raises(FormatError, match=r"inst_00002: manifest tile \(6, 6, 1\) differs from \(8, 8, 1\)"):
+            load_corpus(tmp_path)
+
     def test_grids_must_agree(self, tmp_path):
         save_corpus(tmp_path / "a", generate_corpus("mixed", S2, 2, 20, SMALL_GEN))
         save_corpus(tmp_path / "b", generate_corpus("mixed", GridShape((3, 3)), 1, 20, SMALL_GEN))

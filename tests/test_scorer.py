@@ -128,6 +128,14 @@ class TestExtractFeatures:
         assert extract_features(patch).shape == (feature_dim(FEATURE_RECIPE_2D, 3),)
         assert feature_dim(FEATURE_RECIPE_2D, 1) == 22
 
+    def test_dimension_per_recipe_and_channels(self):
+        for channels in range(1, 5):
+            assert feature_dim(FEATURE_RECIPE_2D, channels) == 6 * channels + 16
+            assert feature_dim(FEATURE_RECIPE_3D, channels) == 8 * channels + 8
+        for recipe in (0, 3):
+            with pytest.raises(ValueError, match="unknown feature recipe"):
+                feature_dim(recipe, 1)
+
     def test_dimension_3d(self):
         vol = np.zeros((32, 32, 32, 1))
         assert extract_features(vol).shape == (feature_dim(FEATURE_RECIPE_3D, 1),)

@@ -13,7 +13,7 @@ import pytest
 
 from jigsolve import assign, grid, scorer, search
 from jigsolve.assign import unary_argmin
-from jigsolve.cost import neg_log, row_softmax, softmax9, total_cost
+from jigsolve.cost import neg_log, row_softmax, softmax9, total_cost, validate_binary, validate_unary
 from jigsolve.grid import (
     GridShape,
     all_permutations,
@@ -330,6 +330,42 @@ class TestBruteForceArgmin:
     def test_refuses_large_grids(self):
         with pytest.raises(ValueError):
             brute_force_argmin(np.full((16, 16), 1 / 16), None, GridShape((4, 4)))
+
+
+ENTRIES = {
+    "refine_with_binary": lambda U, V: refine_with_binary(U, V, np.arange(9), S3, 3),
+    "brute_force_argmin": lambda U, V: brute_force_argmin(U, V, S3),
+}
+
+
+class TestEntryTables:
+    """Every solver entry checks its tables with the validators' own messages."""
+
+    @staticmethod
+    def bad_tables():
+        U, V = random_tables(9, np.random.default_rng(61))
+        nan_u = U.copy()
+        nan_u[4, 2] = np.nan
+        yield nan_u, V, lambda: validate_unary(nan_u, 9)
+        yield 2 * U, V, lambda: validate_unary(2 * U, 9)
+        yield U, V[:, :, :8], lambda: validate_binary(V[:, :, :8], 9)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_bad_table_raises_the_validators_message(self, entry):
+        for U, V, validator in self.bad_tables():
+            with pytest.raises(ValueError) as want:
+                validator()
+            with pytest.raises(ValueError) as got:
+                ENTRIES[entry](U, V)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_unary_is_checked_without_v(self, entry):
+        U = np.full((9, 9), 1 / 9)
+        with pytest.raises(ValueError, match="every unary row must sum to 1"):
+            ENTRIES[entry](2 * U, None)
+        with pytest.raises(ValueError, match="expected n=9"):
+            ENTRIES[entry](U[:4, :4], None)
 
 
 class TestSolveIterative:
