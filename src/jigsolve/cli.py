@@ -78,9 +78,11 @@ def _check_gen(shape, opts) -> None:
     except ValueError as exc:
         raise UsageError(f"--crop {crop}: {exc}") from None
     size = puzzlegen.synth_size(shape, opts)
-    if size < puzzlegen.MIN_SYNTH_SIZE:
+    if not puzzlegen.MIN_SYNTH_SIZE <= size <= puzzlegen.MAX_SYNTH_SIZE:
+        bound = (f"below the minimum of {puzzlegen.MIN_SYNTH_SIZE}" if size < puzzlegen.MIN_SYNTH_SIZE
+                 else f"above the maximum of {puzzlegen.MAX_SYNTH_SIZE}")
         raise UsageError(f"--cell {opts.cell} on a {shape} grid gives a synthetic image of "
-                         f"{size} pixels a side, below the minimum of {puzzlegen.MIN_SYNTH_SIZE}")
+                         f"{size} pixels a side, {bound}")
 
 
 def _check_tiles(path, instances) -> None:

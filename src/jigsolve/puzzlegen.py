@@ -11,13 +11,19 @@ File formats owned here:
   * PGM (P5) / PPM (P6), maxval 255 only.
   * "RTEN" raw tensors: magic, version u32, rank u32, per-axis extents u32,
     channels u32, then float32 little-endian values in row-major order.
-  * Corpora: one directory per instance holding a key=value manifest plus
-    one RTEN file per patch.
+    JSW1 models (``scorer``) share its header and readers, with (d, recipe)
+    in place of the channels.
+  * Corpora: one directory per instance holding a UTF-8 key=value manifest
+    plus one RTEN file per patch.
+A bad file raises ``FormatError``: ``path: msg (byte offset N)`` where the
+reader has an offset.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -28,16 +34,23 @@ from .grid import GridShape, as_permutation, id_to_position, random_permutation
 
 RTEN_MAGIC = b"RTEN"
 RTEN_VERSION = 1
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")  # whitespace and comments, then a token
 
 VOLUME_REGION = 120
 _3D_CROP = {2: 48, 3: 32}
 
 SYNTH_KINDS = ("gradient", "blobs", "mixed")
 MIN_SYNTH_SIZE = 16  # smallest side of a synthetic image or volume
+MAX_SYNTH_SIZE = 2048  # largest side; one 2D source then peaks near 170 MB
 
 
 class FormatError(ValueError):
-    """Malformed image or tensor file."""
+    """Malformed image, tensor, model or manifest file."""
+
+    @classmethod
+    def at(cls, path, msg: str, offset: int) -> "FormatError":
+        """The error for ``msg`` found at byte ``offset`` of ``path``."""
+        return cls(f"{path}: {msg} (byte offset {offset})")
 
 
 @dataclass(frozen=True)
@@ -171,90 +184,88 @@ class PuzzleInstance:
 
 
 def _read_pnm(blob: bytes, path: str) -> ImageTensor:
-    pos = 0
-
-    def fail(msg):
-        raise FormatError(f"{path}: {msg} (byte offset {pos})")
-
-    def token():
-        nonlocal pos
-        while pos < len(blob):
-            ch = blob[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(blob) and blob[pos : pos + 1] not in (b"\n", b""):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            fail("truncated header")
-        return blob[start:pos]
-
-    magic = token()
-    if magic not in (b"P5", b"P6"):
-        fail(f"unsupported magic {magic!r}")
-    channels = 1 if magic == b"P5" else 3
-    try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
-    except ValueError:
-        fail("non-integer header field")
+    m = _PNM_TOKEN.match(blob)
+    if m[1] not in (b"P5", b"P6"):
+        msg = f"unsupported magic {m[1]!r}" if m[1] else "truncated header"
+        raise FormatError.at(path, msg, m.end())
+    channels = 1 if m[1] == b"P5" else 3
+    nums = []
+    for _ in range(3):  # width, height, maxval
+        m = _PNM_TOKEN.match(blob, m.end())
+        try:
+            nums.append(int(m[1]))
+        except ValueError:
+            raise FormatError.at(path, "non-integer header field", m.end()) from None
+    width, height, maxval = nums
     if width < 1 or height < 1:
-        fail(f"bad dimensions {width}x{height}")
+        raise FormatError.at(path, f"bad dimensions {width}x{height}", m.end())
     if maxval != 255:
-        fail(f"maxval must be 255, got {maxval}")
-    pos += 1  # single whitespace byte after maxval
+        raise FormatError.at(path, f"maxval must be 255, got {maxval}", m.end())
+    pos = m.end() + 1  # single whitespace byte after maxval
     need = width * height * channels
     payload = blob[pos : pos + need]
     if len(payload) < need:
-        pos += len(payload)
-        fail(f"payload truncated, need {need} bytes")
+        raise FormatError.at(path, f"payload truncated, need {need} bytes", pos + len(payload))
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return ImageTensor(arr.astype(np.float32) / 255.0)
 
 
-def _read_rten(blob: bytes, path: str) -> ImageTensor:
-    def fail(msg, off):
-        raise FormatError(f"{path}: {msg} (byte offset {off})")
+def read_header(blob: bytes, path, magic: bytes, version: int, extra: int) -> tuple[tuple, tuple, int]:
+    """``(extents, extra fields, payload offset)`` of an RTEN or JSW1 file.
 
-    if blob[:4] != RTEN_MAGIC:
-        fail(f"bad magic {blob[:4]!r}", 0)
-    if len(blob) < 16:
-        fail("truncated header", len(blob))
-    head = np.frombuffer(blob[4:16], dtype="<u4")
-    version, rank = int(head[0]), int(head[1])
-    if version != RTEN_VERSION:
-        fail(f"unsupported version {version}", 4)
+    The layout is ``magic``, then u32 fields: the version, the rank (2 or
+    3), ``rank`` extents and ``extra`` more fields, each at least 1.
+    """
+    if blob[:4] != magic:
+        raise FormatError.at(path, f"bad magic {blob[:4]!r}", 0)
+    if len(blob) < 12:
+        raise FormatError.at(path, "truncated header", len(blob))
+    found, rank = struct.unpack_from("<2I", blob, 4)
+    if found != version:
+        raise FormatError.at(path, f"unsupported version {found}", 4)
     if rank not in (2, 3):
-        fail(f"rank must be 2 or 3, got {rank}", 8)
-    if len(blob) < 12 + 4 * (rank + 1):
-        fail("truncated header", len(blob))
-    fields = np.frombuffer(blob[12 : 12 + 4 * (rank + 1)], dtype="<u4")
-    extents = tuple(int(e) for e in fields[:rank])  # (W, H[, Z])
-    channels = int(fields[rank])
-    off = 12 + 4 * (rank + 1)
-    count = math.prod(extents) * channels
-    payload = blob[off : off + 4 * count]
-    if len(payload) < 4 * count:
-        fail(f"payload truncated, need {4 * count} bytes", off + len(payload))
-    arr = np.frombuffer(payload, dtype="<f4").reshape(*reversed(extents), channels)
-    try:
-        return ImageTensor(arr.copy())
-    except ValueError:  # the only check a rank-2 or rank-3 payload can fail
-        fail("non-finite value", off + 4 * int(np.argmin(np.isfinite(arr).ravel())))
+        raise FormatError.at(path, f"rank must be 2 or 3, got {rank}", 8)
+    end = 12 + 4 * (rank + extra)
+    if len(blob) < end:
+        raise FormatError.at(path, "truncated header", len(blob))
+    words = struct.unpack_from(f"<{rank + extra}I", blob, 12)
+    if 0 in words:
+        raise FormatError.at(path, "header field must be at least 1, got 0", 12 + 4 * words.index(0))
+    return words[:rank], words[rank:], end
+
+
+def read_floats(blob: bytes, path, off: int, shapes) -> list[np.ndarray]:
+    """The float32 arrays of ``shapes``, packed from byte ``off`` to the end of ``blob``."""
+    arrays = []
+    for shape in shapes:
+        need = 4 * math.prod(shape)
+        if len(blob) - off < need:  # in Python ints, before any array is made
+            raise FormatError.at(path, f"payload truncated, need {need} bytes", len(blob))
+        arr = np.frombuffer(blob, dtype="<f4", count=need // 4, offset=off).reshape(shape)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if len(bad):
+            raise FormatError.at(path, "non-finite value", off + 4 * int(bad[0]))
+        arrays.append(arr)
+        off += need
+    if off != len(blob):
+        raise FormatError.at(path, f"{len(blob) - off} trailing bytes", off)
+    return arrays
+
+
+def header_bytes(magic: bytes, version: int, extents, extra) -> bytes:
+    """The header that :func:`read_header` reads."""
+    words = (version, len(extents), *extents, *extra)
+    return magic + struct.pack(f"<{len(words)}I", *words)
 
 
 def load_image(path) -> ImageTensor:
     """Read a PGM/PPM (maxval 255) or RTEN file, scaled to [0, 1]."""
     blob = Path(path).read_bytes()
-    if blob[:4] == RTEN_MAGIC:
-        return _read_rten(blob, str(path))
-    return _read_pnm(blob, str(path))
+    if blob[:4] != RTEN_MAGIC:
+        return _read_pnm(blob, str(path))
+    extents, (channels,), off = read_header(blob, path, RTEN_MAGIC, RTEN_VERSION, 1)
+    (arr,) = read_floats(blob, path, off, [(*reversed(extents), channels)])  # extents are (W, H[, Z])
+    return ImageTensor(arr.copy())
 
 
 def save_image(img: ImageTensor, path) -> None:
@@ -281,11 +292,8 @@ def save_image(img: ImageTensor, path) -> None:
 
 
 def save_rten(img: ImageTensor, path) -> None:
-    extents = img.dims
-    head = np.array([RTEN_VERSION, len(extents), *extents, img.channels], dtype="<u4")
     with open(path, "wb") as fh:
-        fh.write(RTEN_MAGIC)
-        fh.write(head.tobytes())
+        fh.write(header_bytes(RTEN_MAGIC, RTEN_VERSION, img.dims, (img.channels,)))
         fh.write(np.ascontiguousarray(img.data, dtype="<f4").tobytes())
 
 
@@ -356,6 +364,8 @@ def _synth_field(kind: str, size: int, seed: int, dims: int) -> np.ndarray:
         raise ValueError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
     if size < MIN_SYNTH_SIZE:
         raise ValueError(f"size must be >= {MIN_SYNTH_SIZE}")
+    if size > MAX_SYNTH_SIZE:
+        raise ValueError(f"size must be <= {MAX_SYNTH_SIZE}")
     rng = _synth_rng(kind, size, seed, dims)
     if kind == "gradient":
         return _gradient_field(rng, size, dims)
@@ -530,7 +540,11 @@ def _manifest_lines(meta: PuzzleMeta) -> list[str]:
     return lines
 
 
-def _parse_manifest(text: str, path: str) -> PuzzleMeta:
+def _parse_manifest(blob: bytes, path: str) -> PuzzleMeta:
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError.at(path, "manifest is not UTF-8", exc.start) from None
     kv: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -575,7 +589,7 @@ def save_corpus(root, instances: list[PuzzleInstance]) -> None:
             raise ValueError("only generated instances with metadata can be stored")
         idir = root / f"inst_{i:05d}"
         idir.mkdir(exist_ok=True)
-        (idir / "manifest.txt").write_text("\n".join(_manifest_lines(inst.meta)) + "\n")
+        (idir / "manifest.txt").write_text("\n".join(_manifest_lines(inst.meta)) + "\n", encoding="utf-8")
         for s in range(inst.n):
             save_rten(ImageTensor(inst.patches[s]), idir / f"patch_{s:03d}.rten")
 
@@ -587,7 +601,7 @@ def load_corpus(root) -> list[PuzzleInstance]:
         raise FormatError(f"{root}: no instance directories found")
     instances = []
     for idir in dirs:
-        meta = _parse_manifest((idir / "manifest.txt").read_text(), str(idir / "manifest.txt"))
+        meta = _parse_manifest((idir / "manifest.txt").read_bytes(), str(idir / "manifest.txt"))
         shape = GridShape(meta.grid)
         if instances and shape != instances[0].shape:
             raise FormatError(f"{idir}: grid {shape} differs from {instances[0].shape}")

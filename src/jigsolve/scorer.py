@@ -16,7 +16,6 @@ the plain deterministic mixture.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -25,7 +24,7 @@ import numpy as np
 
 from .cost import neg_log, row_softmax
 from .grid import NUM_REL_CLASSES, GridShape, ordered_pairs, relation_table
-from .puzzlegen import FormatError, PuzzleInstance
+from .puzzlegen import FormatError, PuzzleInstance, header_bytes, read_floats, read_header
 from . import search
 from .search import SolverOptions
 
@@ -436,40 +435,18 @@ def train_sgd(
 
 def save_model(model: LinearScorer, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        ext = model.shape.extents
-        fh.write(struct.pack("<II", MODEL_VERSION, len(ext)))
-        fh.write(struct.pack(f"<{len(ext)}I", *ext))
-        fh.write(struct.pack("<II", model.d, model.recipe))
+        fh.write(header_bytes(MODEL_MAGIC, MODEL_VERSION, model.shape.extents, (model.d, model.recipe)))
         for arr in model.params:
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_model(path) -> LinearScorer:
     blob = Path(path).read_bytes()
-    if blob[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad model magic {blob[:4]!r}")
+    extents, (d, recipe), off = read_header(blob, path, MODEL_MAGIC, MODEL_VERSION, 2)
     try:
-        version, rank = struct.unpack_from("<II", blob, 4)
-        if version != MODEL_VERSION:
-            raise FormatError(f"{path}: unsupported model version {version}")
-        if rank not in (2, 3):
-            raise FormatError(f"{path}: bad grid rank {rank}")
-        ext = struct.unpack_from(f"<{rank}I", blob, 12)
-        d, recipe = struct.unpack_from("<II", blob, 12 + 4 * rank)
-        feature_dim(recipe, 1)  # rejects an unknown recipe
-        off = 20 + 4 * rank
-        shape = GridShape(ext)
-        arrays = []
-        for sz in param_shapes(shape.n, d):
-            count = int(np.prod(sz))
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-            off += 4 * count
-            arrays.append(arr.astype(np.float64).reshape(sz))
-    except struct.error as exc:
-        raise FormatError(f"{path}: truncated model file") from exc
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed model file: {exc}") from exc
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes after the model")
-    return LinearScorer(shape, int(recipe), int(d), *arrays)
+        feature_dim(recipe, 1)
+    except ValueError as exc:  # an unknown recipe
+        raise FormatError.at(path, f"malformed model file: {exc}", off - 4) from None
+    shape = GridShape(extents)
+    arrays = read_floats(blob, path, off, param_shapes(shape.n, d))
+    return LinearScorer(shape, recipe, d, *(arr.astype(np.float64) for arr in arrays))

@@ -129,13 +129,13 @@ def _pair_index(table: np.ndarray, dtype) -> np.ndarray:
     return flat
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _ball_index(n: int, radius: int) -> _Ball:
-    # Indices are intp, which numpy gathers with no cast, while the pair
-    # index fits one gather chunk; larger balls keep int32 (n**4 < 2**31) to
-    # halve their memory.  Building holds no second copy of the pair index.
-    # Its Fortran order makes numpy sum each row of a gather through it
-    # left to right, in pair order.
+    # One plan at a time, as its pair index grows as n**4.  Indices are intp,
+    # which numpy gathers with no cast, while the pair index fits one gather
+    # chunk; larger balls keep int32 (n**4 < 2**31) to halve their memory.
+    # Building holds no second copy of the pair index.  Its Fortran order makes
+    # numpy sum each row of a gather through it left to right, in pair order.
     table = _ball_table(n, radius)
     p, q = ordered_pairs(n)
     small = len(table) * len(p) * np.dtype(np.intp).itemsize <= _GATHER_BYTES

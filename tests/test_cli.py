@@ -409,6 +409,8 @@ class TestBadInput:
         ["gen", "--grid", "3x3x2", "--out", "{out}"],
         ["gen", "--grid", "2x2", "--out", "{out}", "--count", "0"],
         ["gen", "--grid", "2x2", "--out", "{out}", "--count", "-3"],
+        ["gen", "--grid", "2x2", "--count", "1", "--out", "{out}", "--cell", "10000000"],
+        ["bench", "--grid", "3x3", "--radii", "a", "--report", "{out}"],
     ])
     def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -427,7 +429,7 @@ class TestBadInput:
         text = manifest.read_text()
         edited = re.sub(pattern, repl, text, count=1)
         assert edited != text
-        manifest.write_text(edited)
+        manifest.write_text(edited, encoding="latin-1")  # so a non-ASCII repl is not UTF-8
         code = main(["solve", "--corpus", str(root), "--oracle", "0.5",
                      "--report", str(tmp_path / "r.jsonl")])
         assert code == EXIT_DATA
@@ -441,6 +443,7 @@ class TestBadInput:
         (r"(?m)^crop=.*$", "crop=13"),
         (r"(?m)^offsets=\d+:\d+", "offsets=9:9"),
         (r"(?m)^offsets=\d+:\d+", "offsets=-1:0"),
+        (r"(?m)^source_kind=.*$", "source_kind=caf\xe9"),
     ])
     def test_bad_manifest_is_data_error(self, pattern, repl, corpus_dir, tmp_path, capsys):
         self.solve_edited(corpus_dir, "inst_00003", pattern, repl, tmp_path, capsys)
@@ -461,12 +464,18 @@ class TestBadInput:
         ["solve", "--grid", "3x3", "--oracle", "0.5", "--count", "2", "--report", "{dir}"],
         ["train", "--corpus", "{corpus}", "--out", "{dir}", "--epochs", "1"],
         ["gen", "--grid", "2x2", "--count", "1", "--out", "{file}"],
+        # The same contract for inputs that do not fit together: exit 3, one line.
+        ["solve", "--model", "{model}", "--report", "{out}"],
+        ["solve", "--oracle", "0.5", "--report", "{out}"],
+        ["solve", "--corpus", "{corpus_3d}", "--model", "{model}", "--report", "{out}"],
     ])
-    def test_file_system_error_is_data_error(self, argv, corpus_dir, tmp_path, capsys):
+    def test_file_system_error_is_data_error(self, argv, corpus_dir, corpus_3d_dir, tmp_path, capsys):
         (tmp_path / "dir").mkdir()
         (tmp_path / "file").write_text("")
-        code = main([a.format(corpus=corpus_dir, dir=tmp_path / "dir", file=tmp_path / "file",
-                              out=tmp_path / "out") for a in argv])
+        model = random_model(tmp_path / "m.jsw1")  # 2x2
+        code = main([a.format(corpus=corpus_dir, corpus_3d=corpus_3d_dir, model=model,
+                              dir=tmp_path / "dir", file=tmp_path / "file", out=tmp_path / "out")
+                     for a in argv])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1

@@ -119,6 +119,20 @@ class TestRtenIO:
             with pytest.raises(FormatError, match=r"t\.rten: non-finite value \(byte offset 40\)"):
                 load_image(path)
 
+    @pytest.mark.parametrize("edit", ["trailing", "zero-width", "zero-channels"])
+    def test_trailing_bytes_and_zero_fields_rejected(self, edit, tmp_path):
+        path = tmp_path / "t.rten"
+        save_rten(ImageTensor(np.zeros((3, 3, 1))), path)
+        blob = path.read_bytes()  # version, rank, W, H, C in bytes 4-23, then 36 payload bytes
+        bad, message = {
+            "trailing": (blob + bytes(7), r"t\.rten: 7 trailing bytes \(byte offset 60\)"),
+            "zero-width": (blob[:12] + bytes(4) + blob[16:], r"got 0 \(byte offset 12\)"),
+            "zero-channels": (blob[:20] + bytes(4) + blob[24:], r"got 0 \(byte offset 20\)"),
+        }[edit]
+        path.write_bytes(bad)
+        with pytest.raises(FormatError, match=message):
+            load_image(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_image(tmp_path / "absent.rten")

@@ -522,6 +522,25 @@ class TestSerialization:
         with pytest.raises(FormatError, match="7 trailing bytes"):
             load_model(path)
 
+    def test_non_finite_weight_rejected(self, tmp_path):
+        model = LinearScorer.init_random(S2, 22, np.random.default_rng(52))
+        path = tmp_path / "m.jsw1"
+        save_model(model, path)
+        blob = path.read_bytes()  # 28 header bytes, then unary_w[0, 3] at byte 40
+        for value in (np.nan, np.inf, -np.inf):
+            path.write_bytes(blob[:40] + np.array(value, dtype="<f4").tobytes() + blob[44:])
+            with pytest.raises(FormatError, match=r"m\.jsw1: non-finite value \(byte offset 40\)"):
+                load_model(path)
+
+    def test_extent_past_the_file_rejected(self, tmp_path):
+        model = LinearScorer.init_random(S2, 22, np.random.default_rng(53))
+        path = tmp_path / "m.jsw1"
+        save_model(model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:12] + (0xFFFFFF02).to_bytes(4, "little") + blob[16:])
+        with pytest.raises(FormatError, match="payload truncated"):
+            load_model(path)
+
     def test_unknown_recipe_rejected(self, tmp_path):
         model = LinearScorer.init_random(S2, 22, np.random.default_rng(51), recipe=9)
         path = tmp_path / "m.jsw1"

@@ -112,6 +112,11 @@ class TestBallKernel:
         assert search._ball_index(5, 3) is ball
         assert not any(a.flags.writeable for a in ball)
 
+    def test_one_plan_is_cached_at_a_time(self):
+        search._ball_index(5, 3)
+        search._ball_index(4, 2)
+        assert search._ball_index.cache_info().currsize == 1
+
     def test_3x3_plan_gathers_without_a_cast(self):
         # 205 x 72 intp entries (118 KB) fit one gather chunk, so numpy
         # gathers through them with no per-round cast to intp.
