@@ -4,7 +4,9 @@ Reports are line-delimited JSON, one record per puzzle plus one aggregate
 record, written in puzzle-index order so identical flags and seed produce
 byte-identical files at any thread count.  Timing goes to stderr only.
 ``bench`` solves each puzzle once per (noise, radius, binary) at the largest
-``--rounds`` cap and reads every cap's aggregate off that one trajectory.
+``--rounds`` cap and reads every cap's aggregate off that one trajectory;
+``solve`` is that sweep at one setting.  Every setting is checked before
+anything is read or built, and a run past ``MEMORY_BUDGET`` is refused.
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 selftest failure.
 """
@@ -14,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SELFTEST = 4
+MEMORY_BUDGET = 6 << 30  # bytes of one round (search.round_bytes): 9x9 at radius 3 fits, 10x10 does not
 
 
 class UsageError(Exception):
@@ -45,22 +48,33 @@ def _options(make, *args, **fields):
         raise UsageError(str(exc)) from None
 
 
-def _check_run_flags(args, noises) -> None:
-    """``--count`` and the oracle flags at each noise level, before any puzzle is built."""
-    if args.count is not None and args.count < 1:
-        raise UsageError(f"--count must be at least 1, got {args.count}")
+def _check_count(count) -> None:
+    if count is not None and count < 1:
+        raise UsageError(f"--count must be at least 1, got {count}")
+
+
+def _run_settings(args, noises, radii, caps, binaries) -> list[list[SolverOptions]]:
+    """Check ``--count``, the oracle flags at each noise (None: a model run) and every setting.
+
+    Returns the options at the largest cap, one list per radius of one per binary
+    setting, each built first at the smallest cap, which checks every cap.
+    """
+    _check_count(args.count)
     for eps in noises:
-        _options(OracleScorer, eps, binary_noise=args.oracle_binary, jitter=args.oracle_jitter)
+        if eps is not None:
+            _options(OracleScorer, eps, binary_noise=args.oracle_binary, jitter=args.oracle_jitter)
+    return [[replace(_options(SolverOptions, radius=radius, max_rounds=min(caps), use_binary=use_binary,
+                              candidate_cap=args.candidate_cap), max_rounds=max(caps))
+             for use_binary in binaries] for radius in radii]
 
 
-def _default_threads() -> int:
-    env = os.environ.get("JIGSOLVE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _admit(shape, *options) -> None:
+    for opts in options:
+        need = search.round_bytes(shape, opts)
+        if need > MEMORY_BUDGET:
+            pairs = "" if opts.use_binary else " without pair terms"
+            raise UsageError(f"a {shape} round at radius {opts.radius}{pairs} would hold about "
+                             f"{need / 2**30:.3g} GiB, above the {MEMORY_BUDGET >> 30} GiB budget")
 
 
 def _synth_kind(flag: str) -> str:
@@ -85,6 +99,15 @@ def _check_gen(shape, opts) -> None:
                          f"{size} pixels a side, {bound}")
 
 
+def _load_corpus(args):
+    """``--corpus``'s instances, held to ``--grid`` when it is given."""
+    shape = _options(GridShape.parse, args.grid) if args.grid else None
+    instances = puzzlegen.load_corpus(args.corpus)
+    if shape is not None and instances[0].shape != shape:
+        raise FormatError(f"corpus grid {instances[0].shape} does not match --grid {args.grid}")
+    return instances
+
+
 def _check_tiles(path, instances) -> None:
     """The descriptor's minimum tile extent, as a data error naming the corpus."""
     # load_corpus holds every patch of a corpus to one shape.
@@ -106,7 +129,7 @@ def cmd_gen(args) -> int:
         mean_scope=args.mean_scope,
         scramble=not args.no_scramble,
     )
-    _check_run_flags(args, [])
+    _check_count(args.count)
     _check_gen(shape, opts)
     kind = _synth_kind(args.volume_kind if shape.is_3d and args.volume_kind else args.kind)
     instances = puzzlegen.generate_corpus(kind, shape, args.count, args.seed, opts)
@@ -116,21 +139,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opts = _options(
-        TrainOptions,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        train_rounds=args.train_rounds,
-        seed=args.seed,
-        weight_init_scale=args.init_scale,
-    )
+    opts = _options(TrainOptions, learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs,
+                    train_rounds=args.train_rounds, seed=args.seed, weight_init_scale=args.init_scale)
     solver_opts = _options(SolverOptions, radius=args.radius, use_binary=not args.no_binary)
-    corpus = puzzlegen.load_corpus(args.corpus)
+    corpus = _load_corpus(args)
     _check_tiles(args.corpus, corpus)
-    shape = corpus[0].shape
-    if args.grid and _options(GridShape.parse, args.grid) != shape:
-        raise FormatError(f"corpus grid {shape} does not match --grid {args.grid}")
+    _admit(corpus[0].shape, solver_opts)
     result = scorer.train_sgd(corpus, opts, solver_opts)
     scorer.save_model(result.model, args.out)
     log_lines = [
@@ -146,26 +160,19 @@ def cmd_train(args) -> int:
 
 
 def _trajectories(args, shape, instances, count, opts, model, eps):
-    """One solve per puzzle: (each round's Hamming distance to the truth, converged, degraded)."""
-    out = []
+    """One solve per puzzle: (each round's Hamming distance to the truth, converged, degraded); wall time."""
+    t0, out = time.perf_counter(), []
     for index in range(count):
         rng = np.random.default_rng([args.seed, index])
         instance = instances[index] if instances else PuzzleInstance.scrambled(shape, rng)
-        provider = model if model is not None else OracleScorer(
-            noise=eps, rng=rng, binary_noise=args.oracle_binary, jitter=args.oracle_jitter
-        )
+        provider = OracleScorer(eps, rng, args.oracle_binary, args.oracle_jitter) if model is None else model
         trace = search.solve_iterative(provider, instance, opts)
         out.append(([r.hamming_to_truth for r in trace.rounds], trace.converged, trace.binary_degraded))
-    return out
+    return out, time.perf_counter() - t0
 
 
-def _report(trajectories, shape, seed, scorer_desc, opts):
-    """Puzzle records and aggregate of a solve at ``opts``, cut from no shorter trajectories.
-
-    A cap-k solve is the first k rounds of any longer one, and the truth's
-    Hamming distance after a round's move is that round's ``hamming_to_truth``.
-    """
-    k = opts.max_rounds
+def _report(trajectories, shape, seed, scorer_desc, opts, k):
+    """Puzzle records and aggregate of a solve at ``opts`` capped at ``k`` rounds."""
     records, curves = [], []
     for index, (hams, converged, degraded) in enumerate(trajectories):
         used = min(k, len(hams))
@@ -194,6 +201,25 @@ def _report(trajectories, shape, seed, scorer_desc, opts):
     }
 
 
+def _sweep(args, shape, instances, count, model, noises, settings, caps):
+    """``(noise, wall, records, aggregate)`` per setting and cap, by noise, radius, cap, binary.
+
+    Each puzzle is solved once per noise and setting, at the largest cap, in
+    ``wall`` seconds (given with the first cap, None after).  A cap-k solve is
+    the first k rounds of any longer one, and the truth's Hamming distance after
+    a round's move is that round's ``hamming_to_truth``: each cap cuts them.
+    """
+    for eps in noises:
+        desc = f"model:{args.model}" if model is not None else f"oracle:eps={eps}" + (
+            f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else "")
+        for per_binary in settings:
+            solved = [(opts, *_trajectories(args, shape, instances, count, opts, model, eps))
+                      for opts in per_binary]
+            for i, k in enumerate(caps):
+                for opts, trajectories, wall in solved:
+                    yield (eps, None if i else wall, *_report(trajectories, shape, args.seed, desc, opts, k))
+
+
 def _write_report(path, records) -> None:
     with open(path, "w") as fh:
         for rec in records:
@@ -201,26 +227,21 @@ def _write_report(path, records) -> None:
 
 
 def _load_solve_inputs(args):
-    model = None
-    if args.model:
-        model = scorer.load_model(args.model)
-    elif args.oracle is None:
+    model = scorer.load_model(args.model) if args.model else None
+    if model is None and args.oracle is None:
         raise FormatError("need either --model or --oracle")
     if args.corpus:
-        instances = puzzlegen.load_corpus(args.corpus)
-        shape = instances[0].shape
-        count = len(instances) if args.count is None else min(args.count, len(instances))
+        instances = _load_corpus(args)
+        shape, count = instances[0].shape, min(args.count or len(instances), len(instances))
+    elif model is not None:
+        raise FormatError("--model requires --corpus (pixel data)")
+    elif not args.grid:
+        raise FormatError("need --corpus or --grid")
     else:
-        if model is not None:
-            raise FormatError("--model requires --corpus (pixel data)")
-        if not args.grid:
-            raise FormatError("need --corpus or --grid")
-        instances = None
-        shape = _options(GridShape.parse, args.grid)
-        count = args.count if args.count is not None else 100
-    if model is not None and model.shape != shape:
-        raise FormatError(f"model grid {model.shape} does not match corpus grid {shape}")
+        instances, shape, count = None, _options(GridShape.parse, args.grid), args.count or 100
     if model is not None:
+        if model.shape != shape:
+            raise FormatError(f"model grid {model.shape} does not match corpus grid {shape}")
         if model.d != scorer.feature_dim(model.recipe, instances[0].patches.shape[-1]):
             raise FormatError(f"{args.model}: feature width {model.d} does not fit the corpus's patches")
         _check_tiles(args.corpus, instances)
@@ -228,29 +249,14 @@ def _load_solve_inputs(args):
 
 
 def cmd_solve(args) -> int:
-    opts = _options(
-        SolverOptions,
-        radius=args.radius,
-        max_rounds=args.max_rounds,
-        use_binary=not args.no_binary,
-        candidate_cap=args.candidate_cap,
-    )
-    _check_run_flags(args, [] if args.oracle is None else [args.oracle])
+    noises, caps = [args.oracle], [args.max_rounds]
+    settings = _run_settings(args, noises, [args.radius], caps, [not args.no_binary])
     model, instances, shape, count = _load_solve_inputs(args)
-    desc = f"model:{args.model}" if model is not None else (
-        f"oracle:eps={args.oracle}"
-        + (f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else "")
-    )
-    t0 = time.perf_counter()
-    trajectories = _trajectories(args, shape, instances, count, opts, model, args.oracle)
-    wall = time.perf_counter() - t0
-    records, agg = _report(trajectories, shape, args.seed, desc, opts)
+    _admit(shape, *settings[0])
+    ((_, wall, records, agg),) = _sweep(args, shape, instances, count, model, noises, settings, caps)
     _write_report(args.report, records + [agg])
-    print(
-        f"{count} puzzles in {wall:.2f}s: exact_rate={agg['exact_rate']:.4f} "
-        f"d_le_2_rate={agg['d_le_2_rate']:.4f} mean_rounds={agg['mean_rounds']:.2f}",
-        file=sys.stderr,
-    )
+    print(f"{count} puzzles in {wall:.2f}s: exact_rate={agg['exact_rate']:.4f} "
+          f"d_le_2_rate={agg['d_le_2_rate']:.4f} mean_rounds={agg['mean_rounds']:.2f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -267,41 +273,23 @@ def _parse_list(text, conv):
 def cmd_bench(args) -> int:
     shape = _options(GridShape.parse, args.grid)
     radii = _parse_list(args.radii, int)
-    rounds_list = _parse_list(args.rounds, int)
+    caps = _parse_list(args.rounds, int)
     noises = _parse_list(args.noise, float)
-    _check_run_flags(args, noises)
-    binary_opts = {"both": [True, False], "on": [True], "off": [False]}[args.binary]
-    settings = {
-        (radius, k, use_binary): _options(SolverOptions, radius=radius, max_rounds=k,
-                                          use_binary=use_binary, candidate_cap=args.candidate_cap)
-        for radius in radii for k in rounds_list for use_binary in binary_opts
-    }
-    longest = max(rounds_list)
-    binary_desc = f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else ""
-    rows, solves = [], []
-    for eps in noises:
-        for radius in radii:
-            trajectories = {}
-            for use_binary in binary_opts:
-                t0 = time.perf_counter()
-                trajectories[use_binary] = _trajectories(
-                    args, shape, None, args.count, settings[radius, longest, use_binary], None, eps)
-                solves.append((eps, radius, use_binary, time.perf_counter() - t0))
-            for k in rounds_list:
-                for use_binary in binary_opts:
-                    rows.append((eps, _report(trajectories[use_binary], shape, args.seed,
-                                              f"oracle:eps={eps}{binary_desc}",
-                                              settings[radius, k, use_binary])[1]))
-    _write_report(args.report, [agg for _, agg in rows])
+    binaries = {"both": [True, False], "on": [True], "off": [False]}[args.binary]
+    settings = _run_settings(args, noises, radii, caps, binaries)
+    _admit(shape, *sum(settings, []))
+    rows = list(_sweep(args, shape, None, args.count, None, noises, settings, caps))
+    _write_report(args.report, [agg for *_, agg in rows])
     print("noise  radius  rounds  binary  exact    d<=2     mean_rounds", file=sys.stderr)
-    for eps, agg in rows:
-        print(f"{eps:<6g} {agg['radius']:<7d} {agg['max_rounds']:<7d} {str(agg['use_binary']):<7s} "
-              f"{agg['exact_rate']:<8.4f} {agg['d_le_2_rate']:<8.4f} {agg['mean_rounds']:.2f}",
-              file=sys.stderr)
-    print(f"noise  radius  binary  wall (one solve at {longest} rounds, shared by every cap)",
+    row = ("{eps:<6g} {radius:<7d} {max_rounds:<7d} {use_binary!s:<7s} "
+           "{exact_rate:<8.4f} {d_le_2_rate:<8.4f} {mean_rounds:.2f}")
+    for eps, _, _, agg in rows:
+        print(row.format(eps=eps, **agg), file=sys.stderr)
+    print(f"noise  radius  binary  wall (one solve at {max(caps)} rounds, shared by every cap)",
           file=sys.stderr)
-    for eps, radius, use_binary, wall in solves:
-        print(f"{eps:<6g} {radius:<7d} {str(use_binary):<7s} {wall:.2f}s", file=sys.stderr)
+    for eps, wall, _, agg in rows:
+        if wall is not None:
+            print(f"{eps:<6g} {agg['radius']:<7d} {agg['use_binary']!s:<7s} {wall:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -399,9 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="accepted; the value changes neither the output nor the "
-                            "parallelism (default $JIGSOLVE_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1, help="accepted; has no effect on output or speed")
 
     g = sub.add_parser("gen", help="generate a puzzle corpus")
     add_common(g)
@@ -438,38 +424,32 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--no-binary", action="store_true")
     t.set_defaults(func=cmd_train)
 
-    def add_solver_flags(p):
-        p.add_argument("--radius", type=int, default=3, help="Hamming-ball radius")
-        p.add_argument("--max-rounds", type=int, default=20)
-        p.add_argument("--no-binary", action="store_true")
+    def add_run_flags(p, count):
+        add_common(p)
+        p.add_argument("--count", type=int, default=count)
         p.add_argument("--candidate-cap", type=int, default=None)
-        p.add_argument("--oracle-binary", type=float, default=None,
-                       help="separate binary-table noise level")
+        p.add_argument("--oracle-binary", type=float, default=None, help="separate binary-table noise level")
         p.add_argument("--oracle-jitter", type=float, default=scorer.DEFAULT_ORACLE_JITTER)
+        p.add_argument("--report", required=True, help="JSON-lines output path")
 
     s = sub.add_parser("solve", help="solve a corpus (or fresh scrambles) and report")
-    add_common(s)
+    add_run_flags(s, None)
     s.add_argument("--corpus", default=None)
-    s.add_argument("--grid", default=None, help="grid for corpus-free oracle runs")
-    s.add_argument("--count", type=int, default=None)
+    s.add_argument("--grid", default=None, help="grid for oracle runs without a corpus; checked against one")
     s.add_argument("--model", default=None, help="JSW1 model file")
     s.add_argument("--oracle", type=float, default=None, help="oracle noise level")
-    add_solver_flags(s)
-    s.add_argument("--report", required=True, help="JSON-lines output path")
+    s.add_argument("--radius", type=int, default=3, help="Hamming-ball radius")
+    s.add_argument("--max-rounds", type=int, default=20)
+    s.add_argument("--no-binary", action="store_true")
     s.set_defaults(func=cmd_solve)
 
     b = sub.add_parser("bench", help="sweep radius x rounds x binary x noise")
-    add_common(b)
+    add_run_flags(b, 200)
     b.add_argument("--grid", required=True)
-    b.add_argument("--count", type=int, default=200)
     b.add_argument("--noise", default="0.2,0.5", help="comma list of oracle noise levels")
     b.add_argument("--radii", default="3", help="comma list of ball radii")
     b.add_argument("--rounds", default="1,5,10,20", help="comma list of round caps")
     b.add_argument("--binary", default="both", choices=("both", "on", "off"))
-    b.add_argument("--oracle-binary", type=float, default=None)
-    b.add_argument("--oracle-jitter", type=float, default=scorer.DEFAULT_ORACLE_JITTER)
-    b.add_argument("--candidate-cap", type=int, default=None)
-    b.add_argument("--report", required=True)
     b.set_defaults(func=cmd_bench)
 
     st = sub.add_parser("selftest", help="run the built-in oracle suites")
@@ -480,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

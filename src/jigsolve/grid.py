@@ -178,8 +178,8 @@ def as_permutation(c, n: int | None = None) -> np.ndarray:
         raise ValueError(f"configuration has length {arr.size}, expected {n}")
     if arr.size == 0:
         raise ValueError("configuration must be non-empty")
-    seen = np.bincount(arr, minlength=arr.size) if arr.min() >= 0 else None
-    if seen is None or arr.max() >= arr.size or not (seen[: arr.size] == 1).all():
+    # The range comes first, so the count is never longer than the array.
+    if arr.min() < 0 or arr.max() >= arr.size or not (np.bincount(arr) == 1).all():
         raise ValueError("configuration is not a permutation of 0..n-1")
     return arr
 

@@ -23,6 +23,7 @@ import numpy as np
 from .assign import min_cost_assignment
 from .cost import CostBreakdown, neg_log, validate_binary, validate_unary
 from .grid import (
+    NUM_REL_CLASSES,
     GridShape,
     _ball_table,
     as_permutation,
@@ -129,17 +130,21 @@ def _pair_index(table: np.ndarray, dtype) -> np.ndarray:
     return flat
 
 
+def _index_dtype(rows: int, n: int) -> np.dtype:
+    # intp, which numpy gathers with no cast, while the pair index fits one
+    # gather chunk; int32 (n**4 < 2**31) above that, to halve its memory.
+    small = rows * n * (n - 1) * np.dtype(np.intp).itemsize <= _GATHER_BYTES
+    return np.dtype(np.intp if small or n**4 >= 2**31 else np.int32)
+
+
 @lru_cache(maxsize=1)
 def _ball_index(n: int, radius: int) -> _Ball:
-    # One plan at a time, as its pair index grows as n**4.  Indices are intp,
-    # which numpy gathers with no cast, while the pair index fits one gather
-    # chunk; larger balls keep int32 (n**4 < 2**31) to halve their memory.
-    # Building holds no second copy of the pair index.  Its Fortran order makes
-    # numpy sum each row of a gather through it left to right, in pair order.
+    # One plan at a time, as its pair index grows as n**4.  Building holds no
+    # second copy of the pair index.  Its Fortran order makes numpy sum each
+    # row of a gather through it left to right, in pair order.
     table = _ball_table(n, radius)
     p, q = ordered_pairs(n)
-    small = len(table) * len(p) * np.dtype(np.intp).itemsize <= _GATHER_BYTES
-    dtype = np.intp if small or n**4 >= 2**31 else np.int32
+    dtype = _index_dtype(len(table), n)
     pairs = _pair_index(table, dtype)
     unary = np.empty(table.shape, dtype=dtype)
     np.add(table, np.arange(n) * n, out=unary, casting="same_kind")
@@ -190,15 +195,31 @@ def _select(table: np.ndarray, totals: np.ndarray, center: np.ndarray) -> int:
     return int(min(best, key=lambda row: center[table[row]].tolist()))
 
 
-def _refine(logu, logv, center, shape: GridShape, radius: int, cap: Optional[int]):
-    # Best of the radius ball around ``center`` and its cost parts.  A ball
-    # is a prefix of any larger one, so a cap takes its ``cap`` members from
-    # the smallest ball holding them, never building the whole table.
-    n = shape.n
+def _ball_radius(n: int, radius: int, cap: Optional[int]) -> int:
+    # A ball is a prefix of any larger one, so a cap takes its ``cap`` members
+    # from the smallest ball holding them, never building the whole table.
     radius = min(radius, n)
-    while cap is not None and radius > 0 and hamming_ball_size(n, radius - 1) >= cap:
-        radius -= 1
-    ball = _ball_index(n, radius).head(cap)
+    return next((r for r in range(radius) if cap is not None and hamming_ball_size(n, r) >= cap), radius)
+
+
+def round_bytes(shape: GridShape, opts: SolverOptions) -> int:
+    """Bytes one round at ``opts`` holds, up to 2**63 (no array can be larger).
+
+    U and, on any 2D grid, V count three times each, for the copies scoring and
+    ``-ln`` make; with pair terms the ball plan a refinement builds and the relabelled V count once.
+    """
+    n = shape.n
+    total = 3 * 8 * n * n * (1 if shape.is_3d else 1 + NUM_REL_CLASSES)
+    if opts.use_binary and not shape.is_3d:
+        # Past radius 20 a ball's table alone (D_20 > 8.9e17 rows) is over 2**63 bytes.
+        rows = hamming_ball_size(n, _ball_radius(n, min(opts.radius, 20), opts.candidate_cap))
+        total += rows * n * (8 + _index_dtype(rows, n).itemsize * n) + 8 * n**3 * (n - 1)
+    return min(total, 2**63)
+
+
+def _refine(logu, logv, center, shape: GridShape, radius: int, cap: Optional[int]):
+    # Best of the ball around ``center`` (its first ``cap`` members) and its cost parts.
+    ball = _ball_index(shape.n, _ball_radius(shape.n, radius, cap)).head(cap)
     unary, binary = _batch_costs(logu, logv, shape, center, ball)
     row = _select(ball.table, unary + binary, center)
     return center[ball.table[row]], CostBreakdown(float(unary[row]), float(binary[row]))

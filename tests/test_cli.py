@@ -15,12 +15,14 @@ from jigsolve.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    MEMORY_BUDGET,
     build_parser,
     main,
 )
 from jigsolve.grid import GridShape
 from jigsolve.puzzlegen import ImageTensor, load_image, save_rten
 from jigsolve.scorer import LinearScorer, save_model
+from jigsolve.search import SolverOptions
 
 GEN_FLAGS = [
     "--cell", "12", "--crop", "8", "--mirror-p", "0", "--no-mean-subtract",
@@ -150,10 +152,26 @@ class TestTrain:
         assert code == EXIT_DATA
         assert "absent" in capsys.readouterr().err
 
-    def test_grid_mismatch(self, corpus_dir, tmp_path):
-        code = main(["train", "--corpus", str(corpus_dir), "--grid", "3x3",
-                     "--out", str(tmp_path / "m.jsw1")])
-        assert code == EXIT_DATA
+    @pytest.mark.parametrize("command", ["train", "solve"])
+    def test_grid_mismatch(self, command, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--out", str(out)],
+                "solve": ["solve", "--oracle", "0.5", "--report", str(out)]}[command]
+        assert main(argv + ["--corpus", str(corpus_dir), "--grid", "3x3"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: corpus grid 2x2 does not match --grid 3x3\n"
+        assert not out.exists()
+
+    def test_radius_past_the_memory_budget_is_usage_error(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        assert main(["gen", "--grid", "4x4", "--count", "1", "--out", str(root)] + GEN_FLAGS) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "m.jsw1"
+        code = main(["train", "--corpus", str(root), "--out", str(out), "--radius", "16"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: a 4x4 round at radius 16") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSolve:
@@ -261,11 +279,19 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
 
-    def test_env_thread_fallback(self, monkeypatch):
-        monkeypatch.setenv("JIGSOLVE_THREADS", "6")
-        args = build_parser().parse_args(["solve", "--grid", "2x2",
-                                          "--oracle", "0", "--report", "r"])
-        assert args.threads == 6
+    def test_thread_variable_is_ignored(self, tmp_path, monkeypatch):
+        reports = []
+        for value in (None, "6", "x"):
+            if value is None:
+                monkeypatch.delenv("JIGSOLVE_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("JIGSOLVE_THREADS", value)
+            report = tmp_path / f"r{value}.jsonl"
+            assert main(["solve", "--grid", "3x3", "--count", "10", "--oracle", "0.4",
+                         "--report", str(report)]) == EXIT_OK
+            reports.append(report.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert build_parser().parse_args(["solve", "--report", "r"]).threads == 1
 
 
 class TestBench:
@@ -345,10 +371,49 @@ class TestBench:
         # Every setting is checked before any puzzle is built.
         assert rounds_used == []
 
+    def test_stderr_tables_follow_the_report(self, tmp_path, capsys):
+        report = tmp_path / "bench.jsonl"
+        assert main(["bench", "--grid", "3x3", "--count", "5", "--noise", "0.3,0.6",
+                     "--radii", "0,3", "--rounds", "3,1", "--binary", "both",
+                     "--report", str(report)]) == EXIT_OK
+        _, aggs = read_report(report)
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].split() == ["noise", "radius", "rounds", "binary", "exact", "d<=2",
+                                    "mean_rounds"]
+        results = [line.split() for line in lines[1:1 + len(aggs)]]
+        assert results == [
+            [a["scorer"].removeprefix("oracle:eps="), str(a["radius"]),
+             str(a["max_rounds"]), str(a["use_binary"]), f"{a['exact_rate']:.4f}",
+             f"{a['d_le_2_rate']:.4f}", f"{a['mean_rounds']:.2f}"]
+            for a in aggs
+        ]
+        assert lines[1 + len(aggs)].startswith("noise  radius  binary  wall (one solve at 3 rounds")
+        walls = [line.split() for line in lines[2 + len(aggs):]]
+        assert [w[:3] for w in walls] == [[noise, radius, binary] for noise in ("0.3", "0.6")
+                                          for radius in ("0", "3") for binary in ("True", "False")]
+        assert all(re.fullmatch(r"\d+\.\d\ds", w[3]) for w in walls) and len(walls[0]) == 4
+
     def test_empty_sweep_is_usage_error(self, tmp_path):
         code = main(["bench", "--grid", "3x3", "--noise", "", "--report",
                      str(tmp_path / "b.jsonl")])
         assert code == EXIT_USAGE
+
+
+class TestMemoryBudget:
+    # 9x9 at radius 3 ran in 11.1 s at 4.88 GB on an 8 GB machine.
+    @pytest.mark.parametrize("spec,fields", [
+        ("2x2", {}), ("3x3", {}), ("4x4", {"candidate_cap": 60}), ("6x6", {}), ("8x8", {}),
+        ("9x9", {}), ("4x4", {"radius": 16, "candidate_cap": 60}), ("2x2x2", {}), ("3x3x3", {}),
+        ("6x6x5", {}),
+    ])
+    def test_admits(self, spec, fields):
+        assert search.round_bytes(GridShape.parse(spec), SolverOptions(**fields)) <= MEMORY_BUDGET
+
+    def test_capped_radius_past_the_grid_runs(self, tmp_path):
+        report = tmp_path / "r.jsonl"
+        assert main(["solve", "--grid", "4x4", "--oracle", "0.5", "--radius", "16",
+                     "--candidate-cap", "60", "--count", "2", "--report", str(report)]) == EXIT_OK
+        assert read_report(report)[1][0]["radius"] == 16
 
 
 class TestSelftest:
@@ -411,14 +476,22 @@ class TestBadInput:
         ["gen", "--grid", "2x2", "--out", "{out}", "--count", "-3"],
         ["gen", "--grid", "2x2", "--count", "1", "--out", "{out}", "--cell", "10000000"],
         ["bench", "--grid", "3x3", "--radii", "a", "--report", "{out}"],
+        ["solve", "--corpus", "{corpus}", "--oracle", "0.5", "--grid", "abc", "--report", "{out}"],
+        # Refused by the size admission; never run these without it.
+        ["solve", "--grid", "10x10", "--oracle", "0.2", "--report", "{out}"],
+        ["solve", "--grid", "100x100", "--oracle", "0.5", "--no-binary", "--report", "{out}"],
+        ["solve", "--grid", "4x4", "--oracle", "0.5", "--radius", "16", "--report", "{out}"],
+        ["bench", "--grid", "10x10", "--radii", "0,3", "--report", "{out}"],
+        ["bench", "--grid", "1000x1000", "--radii", "1000000", "--report", "{out}"],
     ])
-    def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys):
+    def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys, monkeypatch):
+        rounds_used = spy_solves(monkeypatch)
         out = tmp_path / "out"
         code = main([a.format(corpus=corpus_dir, out=out) for a in argv])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
-        assert not out.exists()
+        assert not out.exists() and rounds_used == []
 
     @staticmethod
     def solve_edited(corpus, inst, pattern, repl, tmp_path, capsys):
@@ -440,6 +513,7 @@ class TestBadInput:
     @pytest.mark.parametrize("pattern,repl", [
         (r"(?m)^cell=.*\n", ""),
         (r"(?m)^truth=.*$", "truth=0,0,1,2"),
+        (r"(?m)^truth=.*$", "truth=0,1,2,10000000000000"),
         (r"(?m)^crop=.*$", "crop=13"),
         (r"(?m)^offsets=\d+:\d+", "offsets=9:9"),
         (r"(?m)^offsets=\d+:\d+", "offsets=-1:0"),

@@ -260,6 +260,11 @@ class TestReorganize:
         with pytest.raises(ValueError):
             reorganize([0, 1, 2], [0, 1])
 
+    def test_huge_entry_is_refused_before_counting(self):
+        # A count up to the largest entry would ask for 80 TB here.
+        with pytest.raises(ValueError, match="not a permutation"):
+            grid.as_permutation([0, 1, 2, 10**13], 4)
+
 
 class TestRandomPermutation:
     def test_n1(self):

@@ -143,6 +143,21 @@ class TestBallKernel:
         assert ball.pairs.dtype == np.int32
         assert peak <= 1.1 * ball.pairs.nbytes
 
+    @pytest.mark.parametrize("spec,radius,cap", [
+        ("3x3", 3, None), ("2x3", 6, None), ("4x4", 16, 60), ("5x5", 3, None), ("5x5", 3, 7),
+        ("6x6", 3, 1000),
+    ])
+    def test_round_bytes_counts_the_plan_a_refinement_builds(self, spec, radius, cap):
+        shape = GridShape.parse(spec)
+        n = shape.n
+        ball = search._ball_index(n, search._ball_radius(n, radius, cap))
+        plan = ball.table.nbytes + ball.unary.nbytes + ball.pairs.nbytes
+        tables = 3 * 8 * n * n * 10 + 8 * n**3 * (n - 1)
+        opts = SolverOptions(radius=radius, candidate_cap=cap)
+        assert search.round_bytes(shape, opts) == tables + plan
+        no_pairs = SolverOptions(radius=radius, candidate_cap=cap, use_binary=False)
+        assert search.round_bytes(shape, no_pairs) == 3 * 8 * n * n * 10
+
     def test_warm_6x6_predict_memory_is_bounded(self):
         shape = GridShape((6, 6))
         rng = np.random.default_rng(51)
