@@ -34,6 +34,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SELFTEST = 4
 MEMORY_BUDGET = 6 << 30  # bytes of one round (search.round_bytes): 9x9 at radius 3 fits, 10x10 does not
+CURVE_BYTES = 64  # bytes per round of a report's per_round_solved curve, held and written
 
 
 class UsageError(Exception):
@@ -68,20 +69,13 @@ def _run_settings(args, noises, radii, caps, binaries) -> list[list[SolverOption
              for use_binary in binaries] for radius in radii]
 
 
-def _admit(shape, *options) -> None:
+def _admit(shape, options, held: int, what: str) -> None:
     for opts in options:
-        need = search.round_bytes(shape, opts)
+        need = search.round_bytes(shape, opts) + held
         if need > MEMORY_BUDGET:
             pairs = "" if opts.use_binary else " without pair terms"
-            raise UsageError(f"a {shape} round at radius {opts.radius}{pairs} would hold about "
+            raise UsageError(f"a {shape} round at radius {opts.radius}{pairs} and {what} would hold about "
                              f"{need / 2**30:.3g} GiB, above the {MEMORY_BUDGET >> 30} GiB budget")
-
-
-def _synth_kind(flag: str) -> str:
-    kind = flag[len("synth-"):] if flag.startswith("synth-") else flag
-    if kind not in puzzlegen.SYNTH_KINDS:
-        raise FormatError(f"unknown synthetic kind {flag!r}")
-    return kind
 
 
 def _check_gen(shape, opts) -> None:
@@ -131,8 +125,9 @@ def cmd_gen(args) -> int:
     )
     _check_count(args.count)
     _check_gen(shape, opts)
-    kind = _synth_kind(args.volume_kind if shape.is_3d and args.volume_kind else args.kind)
-    instances = puzzlegen.generate_corpus(kind, shape, args.count, args.seed, opts)
+    # The synthetic source checks the kind, before the first instance is drawn.
+    kind = args.kind.removeprefix("synth-")
+    instances = _options(puzzlegen.generate_corpus, kind, shape, args.count, args.seed, opts)
     puzzlegen.save_corpus(args.out, instances)
     print(f"wrote {len(instances)} instances to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -144,7 +139,7 @@ def cmd_train(args) -> int:
     solver_opts = _options(SolverOptions, radius=args.radius, use_binary=not args.no_binary)
     corpus = _load_corpus(args)
     _check_tiles(args.corpus, corpus)
-    _admit(corpus[0].shape, solver_opts)
+    _admit(corpus[0].shape, [solver_opts], scorer.train_bytes(corpus[0]), "the model in training")
     result = scorer.train_sgd(corpus, opts, solver_opts)
     scorer.save_model(result.model, args.out)
     log_lines = [
@@ -173,15 +168,17 @@ def _trajectories(args, shape, instances, count, opts, model, eps):
 
 def _report(trajectories, shape, seed, scorer_desc, opts, k):
     """Puzzle records and aggregate of a solve at ``opts`` capped at ``k`` rounds."""
-    records, curves = [], []
+    records = []
     for index, (hams, converged, degraded) in enumerate(trajectories):
         used = min(k, len(hams))
-        solved = hams[used - 1] == 0
         records.append({"type": "puzzle", "index": index, "rounds_used": used,
-                        "converged": converged and k >= len(hams), "solved": solved,
+                        "converged": converged and k >= len(hams), "solved": hams[used - 1] == 0,
                         "final_hamming": hams[used - 1], "binary_degraded": degraded})
-        curves.append([h == 0 for h in hams[:used]] + [solved] * (k - used))
     final = np.array([r["final_hamming"] for r in records])
+    # Each round's solved share; a puzzle stays as its last round left it, so it ends at the exact rate.
+    run = max(r["rounds_used"] for r in records)
+    curve = [sum(hams[min(j, len(hams) - 1)] == 0 for hams, *_ in trajectories) / len(records)
+             for j in range(run)]
     space = math.factorial(shape.n)
     return records, {
         "type": "aggregate",
@@ -192,12 +189,12 @@ def _report(trajectories, shape, seed, scorer_desc, opts, k):
         "max_rounds": k,
         "use_binary": opts.use_binary,
         "n_puzzles": len(records),
-        "exact_rate": float(np.mean(final == 0)),
+        "exact_rate": curve[-1],
         "d_le_2_rate": float(np.mean(final <= 2)),
         "mean_rounds": float(np.mean([r["rounds_used"] for r in records])),
         "config_space_size": space,
         "config_space_size_approx": float(space) if space <= sys.float_info.max else None,
-        "per_round_solved": [float(f) for f in np.array(curves, dtype=bool).mean(axis=0)],
+        "per_round_solved": curve + curve[-1:] * (k - run),
     }
 
 
@@ -221,9 +218,15 @@ def _sweep(args, shape, instances, count, model, noises, settings, caps):
 
 
 def _write_report(path, records) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    # From 1559 cells on, config_space_size (the exact n!) passes int's 4300-digit str limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with open(path, "w") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _load_solve_inputs(args):
@@ -252,7 +255,7 @@ def cmd_solve(args) -> int:
     noises, caps = [args.oracle], [args.max_rounds]
     settings = _run_settings(args, noises, [args.radius], caps, [not args.no_binary])
     model, instances, shape, count = _load_solve_inputs(args)
-    _admit(shape, *settings[0])
+    _admit(shape, settings[0], CURVE_BYTES * args.max_rounds, "the report's curve")
     ((_, wall, records, agg),) = _sweep(args, shape, instances, count, model, noises, settings, caps)
     _write_report(args.report, records + [agg])
     print(f"{count} puzzles in {wall:.2f}s: exact_rate={agg['exact_rate']:.4f} "
@@ -277,7 +280,8 @@ def cmd_bench(args) -> int:
     noises = _parse_list(args.noise, float)
     binaries = {"both": [True, False], "on": [True], "off": [False]}[args.binary]
     settings = _run_settings(args, noises, radii, caps, binaries)
-    _admit(shape, *sum(settings, []))
+    options = sum(settings, [])
+    _admit(shape, options, CURVE_BYTES * len(noises) * len(options) * sum(caps), "the report's curves")
     rows = list(_sweep(args, shape, None, args.count, None, noises, settings, caps))
     _write_report(args.report, [agg for *_, agg in rows])
     print("noise  radius  rounds  binary  exact    d<=2     mean_rounds", file=sys.stderr)
@@ -391,9 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a puzzle corpus")
     add_common(g)
-    g.add_argument("--kind", default="synth-mixed",
-                   help="synthetic source kind: synth-gradient|synth-blobs|synth-mixed")
-    g.add_argument("--volume-kind", default=None, help="3D synthetic source kind")
+    g.add_argument("--kind", "--volume-kind", default="synth-mixed",
+                   help="synthetic source kind, 2D or 3D: synth-gradient|synth-blobs|synth-mixed")
     g.add_argument("--grid", required=True, help="WxH or WxHxZ")
     g.add_argument("--count", type=int, default=100, help="number of instances")
     g.add_argument("--out", required=True, help="corpus directory")

@@ -39,7 +39,7 @@ _PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")  # whitespace and comments, th
 VOLUME_REGION = 120
 _3D_CROP = {2: 48, 3: 32}
 
-SYNTH_KINDS = ("gradient", "blobs", "mixed")
+SYNTH_KINDS = ("gradient", "blobs", "mixed")  # a kind's stream id is its position plus one
 MIN_SYNTH_SIZE = 16  # smallest side of a synthetic image or volume
 MAX_SYNTH_SIZE = 2048  # largest side; one 2D source then peaks near 170 MB
 
@@ -328,11 +328,8 @@ def resize_bilinear(img: ImageTensor, new_dims: tuple[int, int]) -> ImageTensor:
     return ImageTensor(data.astype(np.float32))
 
 
-_KIND_IDS = {"gradient": 1, "blobs": 2, "mixed": 3}
-
-
 def _synth_rng(kind: str, size: int, seed: int, dims: int) -> np.random.Generator:
-    return np.random.default_rng([_KIND_IDS[kind], dims, size, seed])
+    return np.random.default_rng([SYNTH_KINDS.index(kind) + 1, dims, size, seed])
 
 
 def _gradient_field(rng: np.random.Generator, size: int, dims: int) -> np.ndarray:

@@ -4,7 +4,8 @@ The linear model replaces the heavy feature backbone with a deterministic
 hand-crafted patch descriptor, keeping every algorithmic mechanism (the
 order-sensitive unary head over the concatenated feature set, the pairwise
 9-class binary head, cross-entropy training with iterative reorganization)
-checkable at desk scale.
+checkable at desk scale.  The grid's rank fixes the descriptor, so a JSW1
+model file's recipe word must be 1 on a 2D grid and 2 on a 3D one.
 
 The oracle mixes the ground-truth one-hot tables with uniform noise.  At the
 endpoints it is exact (eps=0 gives one-hots, eps=1 gives uniform tables); in
@@ -16,6 +17,7 @@ the plain deterministic mixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -37,6 +39,7 @@ FEATURE_RECIPE_3D = 2
 EDGE_STRIP = 2  # boundary strip width, pixels
 POOL_CELLS = {2: 4, 3: 2}  # pooled map cells per axis, by spatial rank
 DEFAULT_ORACLE_JITTER = 8.0
+TRAIN_COPIES = 8  # model-sized arrays training holds; tracemalloc read up to 7.1 at 5x5 to 8x8
 
 
 def feature_dim(recipe: int, channels: int) -> int:
@@ -45,6 +48,11 @@ def feature_dim(recipe: int, channels: int) -> int:
     if dims is None:
         raise ValueError(f"unknown feature recipe {recipe}")
     return (2 + 2 * dims) * channels + POOL_CELLS[dims] ** dims
+
+
+def grid_recipe(shape: GridShape) -> int:
+    """The descriptor a model on ``shape`` uses: the grid's rank fixes it."""
+    return FEATURE_RECIPE_3D if shape.is_3d else FEATURE_RECIPE_2D
 
 
 def check_tile(tile: tuple[int, ...]) -> None:
@@ -129,10 +137,8 @@ def oracle_score(
     0 < eps < 1, a logit perturbation of amplitude ``jitter*eps*(1-eps)``
     is drawn per call.
     """
-    if binary_eps is None:
-        binary_eps = eps
-    if not (0.0 <= eps <= 1.0 and 0.0 <= binary_eps <= 1.0):
-        raise ValueError("eps and binary_eps must be in [0, 1]")
+    binary_eps = eps if binary_eps is None else binary_eps
+    _check_oracle(eps, binary_eps, jitter)
     t = np.asarray(truth, dtype=np.int64)
     n = shape.n
 
@@ -165,6 +171,15 @@ def oracle_score(
     return U, V
 
 
+def _check_oracle(noise: float, binary_noise: Optional[float], jitter: float) -> None:
+    """Raise ``ValueError`` unless both noises are in [0, 1] (or unset) and the jitter is finite."""
+    for name, eps in (("noise", noise), ("binary noise", binary_noise)):
+        if eps is not None and not 0.0 <= eps <= 1.0:
+            raise ValueError(f"oracle {name} must be in [0, 1], got {eps}")
+    if not math.isfinite(jitter):
+        raise ValueError(f"oracle jitter must be finite, got {jitter}")
+
+
 @dataclass
 class OracleScorer:
     """Test instrument: emits truth-derived tables at a chosen noise level."""
@@ -175,11 +190,7 @@ class OracleScorer:
     jitter: float = DEFAULT_ORACLE_JITTER
 
     def __post_init__(self):
-        for name, eps in (("noise", self.noise), ("binary noise", self.binary_noise)):
-            if eps is not None and not 0.0 <= eps <= 1.0:
-                raise ValueError(f"oracle {name} must be in [0, 1], got {eps}")
-        if not np.isfinite(self.jitter):
-            raise ValueError(f"oracle jitter must be finite, got {self.jitter}")
+        _check_oracle(self.noise, self.binary_noise, self.jitter)
 
     def rows(self, puzzle: PuzzleInstance) -> np.ndarray:
         """The oracle's rows are the truth: each slot's original cell ID."""
@@ -226,11 +237,10 @@ class LinearScorer:
     The unary head maps the flattened (n*d) feature set to n*n logits, so it
     is sensitive to the order of the input rows.  The binary head maps each
     ordered pair concatenation (2d) to 9 relative-position logits.  The four
-    arrays are laid out as :func:`param_shapes` says.
+    arrays are laid out as :func:`param_shapes` says; the grid fixes the ``recipe``.
     """
 
     shape: GridShape
-    recipe: int
     d: int
     unary_w: np.ndarray
     unary_b: np.ndarray
@@ -248,6 +258,10 @@ class LinearScorer:
         return Params(*(getattr(self, name) for name in Params._fields))
 
     @property
+    def recipe(self) -> int:
+        return grid_recipe(self.shape)
+
+    @property
     def unary_param_count(self) -> int:
         return self.unary_w.size + self.unary_b.size
 
@@ -256,18 +270,9 @@ class LinearScorer:
         return self.binary_w.size + self.binary_b.size
 
     @classmethod
-    def init_random(
-        cls,
-        shape: GridShape,
-        d: int,
-        rng: np.random.Generator,
-        scale: float = 0.01,
-        recipe: Optional[int] = None,
-    ) -> "LinearScorer":
-        if recipe is None:
-            recipe = FEATURE_RECIPE_3D if shape.is_3d else FEATURE_RECIPE_2D
-        return cls(shape, recipe, d,
-                   *(rng.uniform(-scale, scale, size=size) for size in param_shapes(shape.n, d)))
+    def init_random(cls, shape: GridShape, d: int, rng: np.random.Generator,
+                    scale: float = 0.01) -> "LinearScorer":
+        return cls(shape, d, *(rng.uniform(-scale, scale, size=size) for size in param_shapes(shape.n, d)))
 
     def rows(self, puzzle: PuzzleInstance) -> np.ndarray:
         return features_of(puzzle)
@@ -344,6 +349,12 @@ def _loss_and_grad(model: LinearScorer, F, truth, shape: GridShape, U, V) -> tup
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def train_bytes(puzzle: PuzzleInstance) -> int:
+    """Bytes that training a model on puzzles like ``puzzle`` holds for the model's arrays."""
+    d = feature_dim(grid_recipe(puzzle.shape), puzzle.patches.shape[-1])
+    return TRAIN_COPIES * 8 * sum(math.prod(s) for s in param_shapes(puzzle.shape.n, d))
 
 
 @dataclass(frozen=True)
@@ -443,10 +454,8 @@ def save_model(model: LinearScorer, path) -> None:
 def load_model(path) -> LinearScorer:
     blob = Path(path).read_bytes()
     extents, (d, recipe), off = read_header(blob, path, MODEL_MAGIC, MODEL_VERSION, 2)
-    try:
-        feature_dim(recipe, 1)
-    except ValueError as exc:  # an unknown recipe
-        raise FormatError.at(path, f"malformed model file: {exc}", off - 4) from None
     shape = GridShape(extents)
+    if recipe != grid_recipe(shape):
+        raise FormatError.at(path, f"recipe {recipe} does not fit the grid's {grid_recipe(shape)}", off - 4)
     arrays = read_floats(blob, path, off, param_shapes(shape.n, d))
-    return LinearScorer(shape, recipe, d, *(arr.astype(np.float64) for arr in arrays))
+    return LinearScorer(shape, d, *(arr.astype(np.float64) for arr in arrays))

@@ -102,7 +102,6 @@ class _Ball(NamedTuple):
     table: np.ndarray  # (|B|, n) ball rows T
     unary: np.ndarray  # (|B|, n) flat unary index j*n + T[i, j]
     pairs: np.ndarray  # (|B|, n(n-1)) pair index k*n*n + T[i,p_k]*n + T[i,q_k], Fortran-ordered
-    pair_rows: np.ndarray  # (n(n-1),) row p_k*n + q_k of pair k in V seen as (n*n, 9)
 
     def head(self, cap: Optional[int]) -> "_Ball":
         if cap is None:
@@ -143,26 +142,24 @@ def _ball_index(n: int, radius: int) -> _Ball:
     # second copy of the pair index.  Its Fortran order makes numpy sum each
     # row of a gather through it left to right, in pair order.
     table = _ball_table(n, radius)
-    p, q = ordered_pairs(n)
     dtype = _index_dtype(len(table), n)
     pairs = _pair_index(table, dtype)
     unary = np.empty(table.shape, dtype=dtype)
     np.add(table, np.arange(n) * n, out=unary, casting="same_kind")
-    pair_rows = p * n + q
-    for arr in (unary, pairs, pair_rows):
+    for arr in (unary, pairs):
         arr.setflags(write=False)
-    return _Ball(table, unary, pairs, pair_rows)
+    return _Ball(table, unary, pairs)
 
 
 def _batch_costs(logu, logv, shape: GridShape, center, ball: _Ball) -> tuple[np.ndarray, np.ndarray]:
     """Unary and binary cost parts of each candidate ``center[ball.table[i]]``.
 
-    ``ball`` is (a prefix of) the cached identity-ball plan.  The ``-ln``
-    tables are relabelled by the center (slot ``j`` reads ID ``center[j]``),
-    so row ``i`` gathers exactly the floats of candidate ``i``, in pair
-    order, without building it.  All rows are summed the same way, so they
-    rank consistently; a total may differ from the scalar ``total_cost`` in
-    the last bits.  Chunks gather about ``_GATHER_BYTES``.
+    ``ball`` is (a prefix of) the cached identity-ball plan; ``logv`` is the ``-ln`` of
+    V's (n(n-1), 9) pair block.  The tables are relabelled by the center (slot ``j`` reads
+    ID ``center[j]``), so row ``i`` gathers exactly the floats of candidate ``i``, in pair
+    order, without building it.  All rows are summed the same way, so they rank
+    consistently; a total may differ from the scalar ``total_cost`` in the last bits.
+    Chunks gather about ``_GATHER_BYTES``.
     """
     unary = logu.take(center, axis=1).take(ball.unary).sum(axis=1)
     binary = np.zeros(len(ball.table))
@@ -170,7 +167,7 @@ def _batch_costs(logu, logv, shape: GridShape, center, ball: _Ball) -> tuple[np.
         n = shape.n
         rel = relation_table(shape).take(center, axis=0).take(center, axis=1)
         # Entry (k, a*n + b): pair k's cost for the IDs center[a], center[b].
-        pc_flat = logv.reshape(n * n, -1).take(ball.pair_rows, axis=0).take(rel.ravel(), axis=1).ravel()
+        pc_flat = logv.take(rel.ravel(), axis=1).ravel()
         # np.take would return each chunk C-ordered, and numpy sums a C row
         # pairwise; the fancy gather keeps the index's Fortran order.  A chunk
         # of one row would be summed pairwise too, so no chunk holds a single
@@ -206,7 +203,8 @@ def round_bytes(shape: GridShape, opts: SolverOptions) -> int:
     """Bytes one round at ``opts`` holds, up to 2**63 (no array can be larger).
 
     U and, on any 2D grid, V count three times each, for the copies scoring and
-    ``-ln`` make; with pair terms the ball plan a refinement builds and the relabelled V count once.
+    ``-ln`` make; with pair terms the ball plan a refinement builds, the relabelled
+    V and one chunk of gathered pair costs count once.
     """
     n = shape.n
     total = 3 * 8 * n * n * (1 if shape.is_3d else 1 + NUM_REL_CLASSES)
@@ -214,21 +212,23 @@ def round_bytes(shape: GridShape, opts: SolverOptions) -> int:
         # Past radius 20 a ball's table alone (D_20 > 8.9e17 rows) is over 2**63 bytes.
         rows = hamming_ball_size(n, _ball_radius(n, min(opts.radius, 20), opts.candidate_cap))
         total += rows * n * (8 + _index_dtype(rows, n).itemsize * n) + 8 * n**3 * (n - 1)
+        total += min(_GATHER_BYTES, 8 * rows * n * (n - 1))
     return min(total, 2**63)
 
 
-def _refine(logu, logv, center, shape: GridShape, radius: int, cap: Optional[int]):
-    # Best of the ball around ``center`` (its first ``cap`` members) and its cost parts.
-    ball = _ball_index(shape.n, _ball_radius(shape.n, radius, cap)).head(cap)
+def _refine(logu, logv, center, shape: GridShape, opts: SolverOptions):
+    # Best of the ball around ``center`` at ``opts`` (radius and cap) and its cost parts.
+    cap = opts.candidate_cap
+    ball = _ball_index(shape.n, _ball_radius(shape.n, opts.radius, cap)).head(cap)
     unary, binary = _batch_costs(logu, logv, shape, center, ball)
     row = _select(ball.table, unary + binary, center)
     return center[ball.table[row]], CostBreakdown(float(unary[row]), float(binary[row]))
 
 
 def _neg_logs(U, V, shape: GridShape):
-    # Every entry's table boundary: U, then V if given, checked for shape.n; their -ln.
+    # Every entry's table boundary: U, then V if given, checked for shape.n; -ln U, -ln V[ordered_pairs].
     logu = neg_log(validate_unary(U, shape.n))
-    return logu, None if V is None else neg_log(validate_binary(V, shape.n))
+    return logu, None if V is None else neg_log(validate_binary(V, shape.n)[ordered_pairs(shape.n)])
 
 
 def refine_with_binary(
@@ -247,10 +247,9 @@ def refine_with_binary(
     """
     if shape.is_3d and V is not None:
         raise ValueError("binary refinement is not defined on 3D grids")
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    opts = SolverOptions(radius=radius, candidate_cap=candidate_cap)
     logu, logv = _neg_logs(U, V, shape)
-    config, _ = _refine(logu, logv, as_permutation(seed, shape.n), shape, radius, candidate_cap)
+    config, _ = _refine(logu, logv, as_permutation(seed, shape.n), shape, opts)
     return config
 
 
@@ -265,7 +264,7 @@ def predict(U, V, shape: GridShape, opts: SolverOptions) -> tuple[np.ndarray, Co
     seed = min_cost_assignment(logu)
     if logv is None:
         return seed.config, CostBreakdown(seed.cost, 0.0)
-    return _refine(logu, logv, seed.config, shape, opts.radius, opts.candidate_cap)
+    return _refine(logu, logv, seed.config, shape, opts)
 
 
 def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:

@@ -5,12 +5,14 @@ import json
 import math
 import re
 import shutil
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jigsolve import search
+from jigsolve import scorer, search
 from jigsolve.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -20,8 +22,8 @@ from jigsolve.cli import (
     main,
 )
 from jigsolve.grid import GridShape
-from jigsolve.puzzlegen import ImageTensor, load_image, save_rten
-from jigsolve.scorer import LinearScorer, save_model
+from jigsolve.puzzlegen import GenOptions, ImageTensor, generate_corpus, load_image, save_rten
+from jigsolve.scorer import LinearScorer, TrainOptions, save_model
 from jigsolve.search import SolverOptions
 
 GEN_FLAGS = [
@@ -125,7 +127,21 @@ class TestGen:
     def test_unknown_kind(self, tmp_path):
         code = main(["gen", "--grid", "2x2", "--count", "1", "--kind", "plaid",
                      "--out", str(tmp_path / "x")])
-        assert code == EXIT_DATA
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("grid", ["2x2", "2x2x2"])
+    def test_volume_kind_spells_kind(self, grid, tmp_path):
+        # One setting under two names: on any grid the last one given wins.
+        digests = {}
+        for name, flags in {"kind": ["--kind", "synth-blobs"],
+                            "volume": ["--volume-kind", "synth-blobs"],
+                            "last": ["--volume-kind", "synth-gradient", "--kind", "synth-blobs"],
+                            "other": ["--kind", "synth-blobs", "--volume-kind", "synth-gradient"]}.items():
+            root = tmp_path / name
+            assert main(["gen", "--grid", grid, "--count", "1", "--out", str(root), *flags]
+                        + GEN_FLAGS) == EXIT_OK
+            digests[name] = dir_digest(root)
+        assert digests["kind"] == digests["volume"] == digests["last"] != digests["other"]
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -173,6 +189,35 @@ class TestTrain:
         assert err.startswith("usage error: a 4x4 round at radius 16") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_model_past_the_memory_budget_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # The 30x30 unary head alone is (810000, 19800) float64, 119 GiB; its
+        # round without pair terms is 0.18 GiB.  Never run this without the admission.
+        root = tmp_path / "corpus"
+        assert main(["gen", "--grid", "30x30", "--count", "1", "--cell", "8", "--crop", "4",
+                     "--out", str(root)]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(scorer, "train_sgd", None)  # refused before training starts
+        out = tmp_path / "m.jsw1"
+        assert main(["train", "--corpus", str(root), "--out", str(out), "--no-binary"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: a 30x30 round") and "model" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_admission_covers_the_training_peak(self):
+        # A 5x5 model is 2.8 MB; training held up to 7.1 times that, with
+        # its rounds, at 5x5 to 8x8.
+        shape = GridShape((5, 5))
+        corpus = generate_corpus("mixed", shape, 6, 0, GenOptions(cell=12, crop=8))
+        opts = SolverOptions(use_binary=False)
+        tracemalloc.start()
+        try:
+            model = scorer.train_sgd(corpus, TrainOptions(epochs=1, batch_size=6), opts).model
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scorer.train_bytes(corpus[0]) == scorer.TRAIN_COPIES * sum(a.nbytes for a in model.params)
+        assert peak <= scorer.train_bytes(corpus[0]) + search.round_bytes(shape, opts)
+
 
 class TestSolve:
     def test_perfect_oracle_on_corpus(self, corpus_dir, tmp_path):
@@ -202,6 +247,21 @@ class TestSolve:
         assert len(agg["per_round_solved"]) == agg["max_rounds"]
         for p in puzzles:
             assert p["final_hamming"] != 1
+
+    def test_config_space_past_the_int_digit_limit(self, tmp_path):
+        # 1600! has 4 434 digits, past int's default str limit of 4 300.
+        report = tmp_path / "r.jsonl"
+        limit = sys.get_int_max_str_digits()
+        code = main(["solve", "--grid", "40x40", "--oracle", "0.0", "--no-binary", "--count", "1",
+                     "--max-rounds", "1", "--report", str(report)])
+        assert code == EXIT_OK and sys.get_int_max_str_digits() == limit
+        text = report.read_text().splitlines()[-1]
+        space = math.factorial(1600)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert f'"config_space_size": {space},' in text
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_config_space_past_float_range(self, tmp_path):
         # 180! does not fit in a float, so its approximation is null.
@@ -251,6 +311,20 @@ class TestSolve:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:") and "width" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("recipe", [2, 9])
+    def test_model_recipe_of_another_rank_is_data_error(self, recipe, corpus_dir, tmp_path, capsys):
+        # A 2x2 model saved under the 3D recipe with the 3D width d = 16.
+        model = tmp_path / "m.jsw1"
+        save_model(LinearScorer.init_random(GridShape((2, 2)), 16, np.random.default_rng(0)), model)
+        blob = model.read_bytes()
+        model.write_bytes(blob[:24] + recipe.to_bytes(4, "little") + blob[28:])
+        code = main(["solve", "--corpus", str(corpus_dir), "--model", str(model),
+                     "--report", str(tmp_path / "r.jsonl")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(byte offset 24)" in err and err.count("\n") == 1
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_model_trailing_bytes_is_data_error(self, corpus_dir, tmp_path, capsys):
         model = random_model(tmp_path / "m.jsw1")
@@ -409,6 +483,16 @@ class TestMemoryBudget:
     def test_admits(self, spec, fields):
         assert search.round_bytes(GridShape.parse(spec), SolverOptions(**fields)) <= MEMORY_BUDGET
 
+    def test_long_round_cap_runs(self, tmp_path, monkeypatch):
+        # Past the 2 rounds run, the report's curve repeats the exact rate up to the cap.
+        rounds_used = spy_solves(monkeypatch)
+        report = tmp_path / "r.jsonl"
+        assert main(["solve", "--grid", "2x2", "--oracle", "0", "--count", "1",
+                     "--max-rounds", "10000000", "--report", str(report)]) == EXIT_OK
+        _, (agg,) = read_report(report)
+        assert rounds_used == [2]
+        assert agg["per_round_solved"] == [1.0] * 10_000_000
+
     def test_capped_radius_past_the_grid_runs(self, tmp_path):
         report = tmp_path / "r.jsonl"
         assert main(["solve", "--grid", "4x4", "--oracle", "0.5", "--radius", "16",
@@ -475,6 +559,9 @@ class TestBadInput:
         ["gen", "--grid", "2x2", "--out", "{out}", "--count", "0"],
         ["gen", "--grid", "2x2", "--out", "{out}", "--count", "-3"],
         ["gen", "--grid", "2x2", "--count", "1", "--out", "{out}", "--cell", "10000000"],
+        ["gen", "--grid", "2x2", "--count", "1", "--out", "{out}", "--kind", "plaid"],
+        ["gen", "--grid", "2x2", "--count", "1", "--out", "{out}", "--volume-kind", "nope"],
+        ["gen", "--grid", "2x2x2", "--count", "1", "--out", "{out}", "--volume-kind", "nope"],
         ["bench", "--grid", "3x3", "--radii", "a", "--report", "{out}"],
         ["solve", "--corpus", "{corpus}", "--oracle", "0.5", "--grid", "abc", "--report", "{out}"],
         # Refused by the size admission; never run these without it.
@@ -483,6 +570,10 @@ class TestBadInput:
         ["solve", "--grid", "4x4", "--oracle", "0.5", "--radius", "16", "--report", "{out}"],
         ["bench", "--grid", "10x10", "--radii", "0,3", "--report", "{out}"],
         ["bench", "--grid", "1000x1000", "--radii", "1000000", "--report", "{out}"],
+        # A report curve as long as the round cap would not fit.
+        ["solve", "--grid", "2x2", "--oracle", "0", "--count", "1", "--max-rounds", "1000000000",
+         "--report", "{out}"],
+        ["bench", "--grid", "2x2", "--rounds", "1,1000000000", "--report", "{out}"],
     ])
     def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys, monkeypatch):
         rounds_used = spy_solves(monkeypatch)

@@ -289,6 +289,12 @@ class TestOracleScore:
         with pytest.raises(ValueError):
             oracle_score(np.arange(4), S2, 0.5, binary_eps=2.0)
 
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf])
+    def test_rejects_non_finite_jitter(self, jitter):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="oracle jitter must be finite"):
+            oracle_score(np.arange(4), S2, 0.5, rng=rng, jitter=jitter)
+
     @pytest.mark.parametrize("fields", [
         {"noise": math.nan}, {"noise": -0.1}, {"noise": 1.5},
         {"noise": 0.5, "binary_noise": math.nan}, {"noise": 0.5, "binary_noise": 2.0},
@@ -345,7 +351,7 @@ class TestLinearScore:
         arrays = model.params._asdict()
         arrays[field] = arrays[field][..., :-1]
         with pytest.raises(ValueError, match=field):
-            LinearScorer(shape=S3, recipe=model.recipe, d=22, **arrays)
+            LinearScorer(shape=S3, d=22, **arrays)
 
 
 class TestLossAndGrad:
@@ -542,11 +548,15 @@ class TestSerialization:
             load_model(path)
 
     def test_unknown_recipe_rejected(self, tmp_path):
-        model = LinearScorer.init_random(S2, 22, np.random.default_rng(51), recipe=9)
+        model = LinearScorer.init_random(S2, 22, np.random.default_rng(51))
         path = tmp_path / "m.jsw1"
         save_model(model, path)
-        with pytest.raises(FormatError):
-            load_model(path)
+        blob = path.read_bytes()  # the recipe word is bytes 24-28 of a 2D header
+        assert blob[24:28] == FEATURE_RECIPE_2D.to_bytes(4, "little")
+        for recipe in (0, 2, 3, 9):
+            path.write_bytes(blob[:24] + recipe.to_bytes(4, "little") + blob[28:])
+            with pytest.raises(FormatError, match=r"m\.jsw1: .*\(byte offset 24\)"):
+                load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = LinearScorer.init_random(S2, 22, np.random.default_rng(49))

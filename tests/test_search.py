@@ -20,6 +20,7 @@ from jigsolve.grid import (
     enumerate_hamming_ball,
     hamming,
     hamming_ball_size,
+    ordered_pairs,
     random_permutation,
     relation_table,
     reorganize,
@@ -102,7 +103,7 @@ class TestBallKernel:
                 monkeypatch.setattr(search, "_GATHER_BYTES", chunk)
                 cands = center[ball.table]
                 assert (cands == enumerate_hamming_ball(center, radius)[:cap]).all()
-                unary, binary = search._batch_costs(logu, logv, shape, center, ball)
+                unary, binary = search._batch_costs(logu, logv[ordered_pairs(n)], shape, center, ball)
                 want_unary, want_binary = gathered_costs(logu, logv, shape, cands)
                 assert (unary == want_unary).all(), (radius, cap, dtype)
                 assert (binary == want_binary).all(), (radius, cap, dtype)
@@ -125,7 +126,6 @@ class TestBallKernel:
         assert ball.pairs.shape == (205, 72) and ball.pairs.flags.f_contiguous
         assert ball.unary.flags.c_contiguous
         assert (ball.unary == np.arange(9) * 9 + ball.table).all()
-        assert (ball.pair_rows == np.flatnonzero(~np.eye(9, dtype=bool))).all()
 
     @pytest.mark.parametrize("n", [25, 36])
     def test_cold_build_holds_one_pair_index(self, n):
@@ -153,10 +153,29 @@ class TestBallKernel:
         ball = search._ball_index(n, search._ball_radius(n, radius, cap))
         plan = ball.table.nbytes + ball.unary.nbytes + ball.pairs.nbytes
         tables = 3 * 8 * n * n * 10 + 8 * n**3 * (n - 1)
+        chunk = min(search._GATHER_BYTES, 8 * len(ball.table) * n * (n - 1))
         opts = SolverOptions(radius=radius, candidate_cap=cap)
-        assert search.round_bytes(shape, opts) == tables + plan
+        assert search.round_bytes(shape, opts) == tables + plan + chunk
         no_pairs = SolverOptions(radius=radius, candidate_cap=cap, use_binary=False)
         assert search.round_bytes(shape, no_pairs) == 3 * 8 * n * n * 10
+
+    @pytest.mark.parametrize("spec", ["5x5", "6x6"])
+    def test_round_bytes_is_a_cold_predict_peak(self, spec):
+        # With the ball table and plan built inside it, one predict at radius 3
+        # peaks at 23.7 and 98.8 MiB.
+        shape = GridShape.parse(spec)
+        rng = np.random.default_rng(51)
+        U, V = oracle_score(random_permutation(shape.n, rng), shape, 0.5, rng=rng)
+        opts = SolverOptions(radius=3)
+        grid._ball_table.cache_clear()
+        search._ball_index.cache_clear()
+        tracemalloc.start()
+        try:
+            predict(U, V, shape, opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(peak - search.round_bytes(shape, opts)) <= 0.1 * search.round_bytes(shape, opts)
 
     def test_warm_6x6_predict_memory_is_bounded(self):
         shape = GridShape((6, 6))
@@ -217,6 +236,16 @@ class TestRefineWithBinary:
         refine_with_binary(U, V, unary_argmin(U).config, S3, 3)
         assert all_permutations.cache_info().misses == 0
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"radius": -1}, "radius must be >= 0"),
+        ({"radius": 3, "candidate_cap": 0}, "candidate_cap must be >= 1"),
+        ({"radius": 3, "candidate_cap": -1}, "candidate_cap must be >= 1"),
+    ])
+    def test_rejects_what_solver_options_rejects(self, fields, message):
+        U, V = random_tables(9, np.random.default_rng(30))
+        with pytest.raises(ValueError, match=message):
+            refine_with_binary(U, V, np.arange(9), S3, **fields)
+
     def test_rejects_3d(self):
         V = np.full((8, 8, 9), 1 / 9)
         U = np.full((8, 8), 1 / 8)
@@ -255,7 +284,7 @@ class TestPredict:
             config, bd = predict(U, V, shape, opts)
             logu = neg_log(U)
             seed = assign.min_cost_assignment(logu).config
-            want, want_bd = search._refine(logu, None, seed, shape, 0, None)
+            want, want_bd = search._refine(logu, None, seed, shape, SolverOptions(radius=0))
             assert config.dtype == want.dtype and (config == want).all()
             assert bd == want_bd
 
