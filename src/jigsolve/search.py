@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Optional, Protocol, TYPE_CHECKING
 
 import numpy as np
 
-from .assign import min_cost_assignment
+from .assign import _tie_ruled
 from .cost import CostBreakdown, neg_log, validate_binary, validate_unary
 from .grid import (
     NUM_REL_CLASSES,
@@ -39,6 +39,7 @@ if TYPE_CHECKING:
 
 BRUTE_FORCE_MAX_N = 9
 _GATHER_BYTES = 8 << 20
+_SEED_SLACK = 128 << 10  # a tie-pass sweep chunk and numpy's reduction buffer
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,16 @@ def _ball_radius(n: int, radius: int, cap: Optional[int]) -> int:
 def round_bytes(shape: GridShape, opts: SolverOptions) -> int:
     """Bytes one round at ``opts`` holds, up to 2**63 (no array can be larger).
 
-    U and, on any 2D grid, V count three times each, for the copies scoring and
-    ``-ln`` make; with pair terms the ball plan a refinement builds, the relabelled
-    V and one chunk of gathered pair costs count once.
+    U and, on any 2D grid, V count three times each: the scored table and the two
+    copies ``-ln`` holds at once, or U, ``-ln U`` and the one U-sized array the seed
+    works in (the certificate's raised copy or the tie pass's reduced costs).  The
+    tie pass's boolean (n, n) mask counts once, and its other arrays as
+    ``_SEED_SLACK`` and 256 bytes a slot.  With pair terms the ball plan a
+    refinement builds, the relabelled V and one chunk of gathered pair costs count
+    once.
     """
     n = shape.n
-    total = 3 * 8 * n * n * (1 if shape.is_3d else 1 + NUM_REL_CLASSES)
+    total = 3 * 8 * n * n * (1 if shape.is_3d else 1 + NUM_REL_CLASSES) + n * n + _SEED_SLACK + 256 * n
     if opts.use_binary and not shape.is_3d:
         # Past radius 20 a ball's table alone (D_20 > 8.9e17 rows) is over 2**63 bytes.
         rows = hamming_ball_size(n, _ball_radius(n, min(opts.radius, 20), opts.candidate_cap))
@@ -261,7 +266,7 @@ def predict(U, V, shape: GridShape, opts: SolverOptions) -> tuple[np.ndarray, Co
     """
     pairs = opts.use_binary and V is not None and not shape.is_3d
     logu, logv = _neg_logs(U, V if pairs else None, shape)
-    seed = min_cost_assignment(logu)
+    seed = _tie_ruled(logu)
     if logv is None:
         return seed.config, CostBreakdown(seed.cost, 0.0)
     return _refine(logu, logv, seed.config, shape, opts)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from jigsolve import assign
+from jigsolve import assign, search
 from jigsolve.assign import TIE_TOL, min_cost_assignment, unary_argmin
+from jigsolve.cli import EXIT_OK, main
 from jigsolve.cost import neg_log, row_softmax, unary_cost
 
 U_2X2 = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -68,6 +69,24 @@ def greedy_reference(costs):
         remaining.remove(chosen)
         completion = completion[1:]
     return config, float(m[np.arange(n), config].sum())
+
+
+def tie_pass(matrix):
+    """The tie pass from the first solve, the path the certificate short-cuts."""
+    sigma, opt = assign._solve(matrix)
+    return assign._tie_pass(matrix, sigma, opt, TIE_TOL * max(1.0, abs(opt)))
+
+
+def count_solves(monkeypatch) -> list:
+    """The shapes of the LSAP solves the tie rule runs, in order."""
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return linear_sum_assignment(matrix)
+
+    monkeypatch.setattr(assign, "linear_sum_assignment", counting)
+    return calls
 
 
 def _matrix_kinds(n, rng):
@@ -164,20 +183,23 @@ class TestAgainstGreedy:
                     assert res.cost == cost, (kind, n)
 
     def test_generic_seed_takes_few_solves(self, monkeypatch):
-        calls = []
-
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return linear_sum_assignment(matrix)
-
-        monkeypatch.setattr(assign, "linear_sum_assignment", counting)
+        # The optimum, then the certificate's re-solve.
+        calls = count_solves(monkeypatch)
         rng = np.random.default_rng(17)
         for _ in range(20):
             m = neg_log(row_softmax(rng.standard_normal((27, 27))))
             calls.clear()
             min_cost_assignment(m)
-            assert calls[0] == (27, 27)
-            assert len(calls) <= 5
+            assert calls == [(27, 27), (27, 27)]
+
+    def test_identity_seed_takes_one_solve(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            m = neg_log(row_softmax(rng.standard_normal((27, 27)) + 10.0 * np.eye(27)))
+            calls.clear()
+            assert min_cost_assignment(m).config.tolist() == list(range(27))
+            assert calls == [(27, 27)]
 
     def test_reduced_moves_are_feasible_and_telescope(self):
         rng = np.random.default_rng(18)
@@ -190,6 +212,77 @@ class TestAgainstGreedy:
             p = rng.permutation(n)
             extra = m[np.arange(n), p].sum() - m[np.arange(n), sigma].sum()
             assert red[sigma, p].sum() == pytest.approx(extra, abs=1e-9)
+
+
+class TestCertificate:
+    """The certified seed against the tie pass, ``==`` on config and cost."""
+
+    def test_matches_tie_pass_on_matrix_kinds(self):
+        rng = np.random.default_rng(19)
+        paths = set()
+        for n in range(1, 41):
+            for kind, m in _matrix_kinds(n, rng):
+                got, want = min_cost_assignment(m), tie_pass(m)
+                assert got.config.tolist() == want.config.tolist(), (kind, n)
+                assert got.cost == want.cost, (kind, n)
+                sigma, opt = assign._solve(m)
+                paths.add(assign._certified(m, sigma, TIE_TOL * max(1.0, abs(opt))))
+        assert paths == {True, False}
+
+    def test_overflowing_bump_falls_back(self):
+        # Raising the optimum's entries would leave the float range.
+        top = np.finfo(np.float64).max
+        for m in (np.array([[top, 1.0], [0.0, top]]), np.array([[top, top / 2], [0.0, top]])):
+            sigma, opt = assign._solve(m)
+            assert sigma.tolist() == [1, 0]
+            assert not assign._certified(m, sigma, TIE_TOL * max(1.0, abs(opt)))
+            got, want = min_cost_assignment(m), tie_pass(m)
+            assert got.config.tolist() == want.config.tolist() == [1, 0]
+            assert got.cost == want.cost == opt
+
+
+def _seed_tables(monkeypatch, *runs):
+    """The tables the solver seeds from over CLI runs, and those that ran the tie pass."""
+    tables, fallbacks = [], []
+    tie_ruled, tie_pass_ = assign._tie_ruled, assign._tie_pass
+    monkeypatch.setattr(search, "_tie_ruled", lambda m: tables.append(m) or tie_ruled(m))
+    monkeypatch.setattr(assign, "_tie_pass", lambda m, *args: fallbacks.append(m) or tie_pass_(m, *args))
+    for argv in runs:
+        assert main(argv) == EXIT_OK
+    monkeypatch.undo()
+    return tables, fallbacks
+
+
+def _assert_matches_tie_pass(tables):
+    for m in tables:
+        got, want = assign._tie_ruled(m), tie_pass(m)
+        assert got.config.tolist() == want.config.tolist()
+        assert got.cost == want.cost
+
+
+class TestRecordedSeeds:
+    """Tables recorded from seed-0 runs: oracle seeds never fall back."""
+
+    @pytest.mark.parametrize("grid,noise,count,rounds", [
+        ("3x3", "0.5", "200", 3047), ("3x3x3", "0.5", "200", 4000), ("3x3x3", "0.3", "100", 1871),
+    ])
+    def test_oracle_seeds_are_certified(self, monkeypatch, tmp_path, grid, noise, count, rounds):
+        tables, fallbacks = _seed_tables(monkeypatch, [
+            "solve", "--grid", grid, "--oracle", noise, "--count", count, "--seed", "0",
+            "--report", str(tmp_path / "r.jsonl")])
+        assert len(tables) == rounds
+        assert fallbacks == []
+        _assert_matches_tie_pass(tables)
+
+    def test_learned_replay_matches_tie_pass(self, monkeypatch, tmp_path):
+        corpus, model = str(tmp_path / "c"), str(tmp_path / "m.jsw1")
+        tables, _ = _seed_tables(
+            monkeypatch,
+            ["gen", "--grid", "2x2", "--count", "16", "--seed", "0", "--out", corpus, "--cell", "12",
+             "--crop", "8", "--mirror-p", "0"],
+            ["train", "--corpus", corpus, "--out", model, "--epochs", "2", "--seed", "0"])
+        assert len(tables) > 100
+        _assert_matches_tie_pass(tables)
 
 
 class TestUnaryArgmin:

@@ -152,12 +152,12 @@ class TestBallKernel:
         n = shape.n
         ball = search._ball_index(n, search._ball_radius(n, radius, cap))
         plan = ball.table.nbytes + ball.unary.nbytes + ball.pairs.nbytes
-        tables = 3 * 8 * n * n * 10 + 8 * n**3 * (n - 1)
+        seed = 3 * 8 * n * n * 10 + n * n + search._SEED_SLACK + 256 * n
         chunk = min(search._GATHER_BYTES, 8 * len(ball.table) * n * (n - 1))
         opts = SolverOptions(radius=radius, candidate_cap=cap)
-        assert search.round_bytes(shape, opts) == tables + plan + chunk
+        assert search.round_bytes(shape, opts) == seed + 8 * n**3 * (n - 1) + plan + chunk
         no_pairs = SolverOptions(radius=radius, candidate_cap=cap, use_binary=False)
-        assert search.round_bytes(shape, no_pairs) == 3 * 8 * n * n * 10
+        assert search.round_bytes(shape, no_pairs) == seed
 
     @pytest.mark.parametrize("spec", ["5x5", "6x6"])
     def test_round_bytes_is_a_cold_predict_peak(self, spec):
@@ -176,6 +176,31 @@ class TestBallKernel:
         finally:
             tracemalloc.stop()
         assert abs(peak - search.round_bytes(shape, opts)) <= 0.1 * search.round_bytes(shape, opts)
+
+    def test_round_bytes_bounds_both_3d_seed_paths(self, monkeypatch):
+        # One 8x8x8 round, scoring and predict: the certified seed holds U, -ln U
+        # and the raised copy (3.0 U); the tie pass U, -ln U, its reduced costs
+        # and the near-move mask (3.125 U).
+        shape = GridShape((8, 8, 8))
+        peaks, fallbacks = [], []
+        tie_pass = assign._tie_pass
+        monkeypatch.setattr(assign, "_tie_pass", lambda *args: fallbacks.append(len(peaks)) or tie_pass(*args))
+        opts = SolverOptions()
+        for tied in (False, True):
+            rng = np.random.default_rng(52)
+            truth = random_permutation(shape.n, rng)
+            tracemalloc.start()
+            try:
+                U, _ = oracle_score(truth, shape, 0.5, rng=rng)
+                if tied:
+                    U[1] = U[0]  # slots 0 and 1 tie on every column
+                predict(U, None, shape, opts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert fallbacks == [1]  # only the tied table runs the tie pass
+        bound = search.round_bytes(shape, opts)
+        assert max(peaks) <= bound <= 1.1 * max(peaks)
 
     def test_warm_6x6_predict_memory_is_bounded(self):
         shape = GridShape((6, 6))
