@@ -465,6 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand's one seed check, before anything is read or written
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

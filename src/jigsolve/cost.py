@@ -4,7 +4,10 @@ The unary table ``U`` is row-stochastic, ``U[slot, orig]`` being the belief
 that the patch currently in ``slot`` came from original position ``orig``.
 The binary table ``V`` has shape ``(n, n, 9)``; ``V[p, q]`` is a distribution
 over the 9 relative-position classes for the ordered slot pair ``(p, q)``.
-Plain numpy arrays; each solver entry checks them once with the validators below.
+That is the public format.  The solver works on V's pair block, its
+``(n(n-1), 9)`` rows in ``ordered_pairs`` order, which the score providers hand
+it; ``pair_table`` pads a block into V.  Plain numpy arrays; each solver entry
+checks them once with the validators below.
 
 Probabilities are clamped to ``PROB_FLOOR`` before the log so degenerate
 one-hot tables still give finite costs.
@@ -71,24 +74,36 @@ def validate_unary(U, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def validate_binary(V, n: int | None = None) -> np.ndarray:
-    """Check the per-pair 9-class distribution invariants and return the array.
+def validate_pairs(block, n: int) -> np.ndarray:
+    """Check V's ``(n(n-1), 9)`` pair block (finite, no negatives, 9-row sums of 1) and return it."""
+    arr = np.asarray(block, dtype=np.float64)
+    if arr.shape != (n * (n - 1), NUM_REL_CLASSES):
+        raise ValueError(f"pair block must have shape ({n * (n - 1)}, 9), got {arr.shape}")
+    lo, _ = _extremes(arr, "binary table")
+    # Each 9-vector is summed as one contiguous run, whatever the block's layout.
+    dev = np.abs(np.ascontiguousarray(arr).sum(axis=1) - 1.0)
+    if lo < 0 or not dev.max(initial=0.0) <= ROW_SUM_TOL:
+        raise ValueError("every off-diagonal 9-vector must be a distribution")
+    return arr
 
-    The diagonal ``V[p, p]`` is unused and not constrained.
-    """
+
+def validate_binary(V, n: int | None = None) -> np.ndarray:
+    """Check the public (n, n, 9) V, all finite, and its pair block (:func:`validate_pairs`); return it."""
     arr = np.asarray(V, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != NUM_REL_CLASSES:
         raise ValueError(f"binary table must have shape (n, n, 9), got {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"binary table is for n={arr.shape[0]}, expected n={n}")
-    lo, _ = _extremes(arr, "binary table")
-    n = arr.shape[0]
-    # Each 9-vector is summed as one contiguous run, whatever V's layout.
-    dev = np.abs(np.ascontiguousarray(arr).sum(axis=2) - 1.0)
-    dev.flat[:: n + 1] = 0.0
-    if (lo < 0 and (arr[ordered_pairs(n)] < 0).any()) or not dev.max(initial=0.0) <= ROW_SUM_TOL:
-        raise ValueError("every off-diagonal 9-vector must be a distribution")
+    _extremes(arr, "binary table")
+    validate_pairs(arr[ordered_pairs(arr.shape[0])], arr.shape[0])
     return arr
+
+
+def pair_table(block, n: int, fill: float) -> np.ndarray:
+    """The public ``(n, n, 9)`` V of a pair block, its unused diagonal set to ``fill``."""
+    V = np.full((n, n, NUM_REL_CLASSES), fill)
+    V[ordered_pairs(n)] = block
+    return V
 
 
 @dataclass(frozen=True)

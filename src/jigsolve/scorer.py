@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .cost import neg_log, row_softmax
+from .cost import neg_log, pair_table, row_softmax
 from .grid import NUM_REL_CLASSES, GridShape, ordered_pairs, relation_table
 from .puzzlegen import FormatError, PuzzleInstance, header_bytes, read_floats, read_header
 from . import search
@@ -131,44 +131,10 @@ def oracle_score(
     jitter: float = DEFAULT_ORACLE_JITTER,
     binary_eps: Optional[float] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Score tables mixing the truth's one-hots with uniform mass ``eps``.
-
-    Returns ``(U, V)``; ``V`` is None on 3D grids.  With ``rng`` given and
-    0 < eps < 1, a logit perturbation of amplitude ``jitter*eps*(1-eps)``
-    is drawn per call.
-    """
-    binary_eps = eps if binary_eps is None else binary_eps
-    _check_oracle(eps, binary_eps, jitter)
-    t = np.asarray(truth, dtype=np.int64)
-    n = shape.n
-
-    def noisy(base: np.ndarray, e: float) -> np.ndarray:
-        # Jitters the fresh ``base`` in place.
-        amp = jitter * e * (1.0 - e)
-        if rng is None or amp == 0.0:
-            return base
-        z = np.log(np.maximum(base, 1e-300, out=base), out=base)
-        z += amp * rng.standard_normal(base.shape)
-        z -= z.max(axis=-1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=-1, keepdims=True)
-        return z
-
-    U = np.full((n, n), eps / n)
-    U[np.arange(n), t] = eps / n + (1.0 - eps)
-    U = noisy(U, eps)
-
-    if shape.is_3d:
-        return U, None
-    # The (n(n-1), 9) block of the ordered pairs is built and jittered on
-    # its own, then written into V once; the diagonal keeps the uniform mass.
-    p, q = ordered_pairs(n)
-    fill = binary_eps / NUM_REL_CLASSES
-    block = np.full((len(p), NUM_REL_CLASSES), fill)
-    block[np.arange(len(p)), relation_table(shape)[t[p], t[q]]] = fill + (1.0 - binary_eps)
-    V = np.full((n, n, NUM_REL_CLASSES), fill)
-    V[p, q] = noisy(block, binary_eps)
-    return U, V
+    """``OracleScorer.score`` with V in the public (n, n, 9) format, ``binary_eps / 9`` on its diagonal."""
+    U, block = OracleScorer(eps, rng, binary_eps, jitter).score(truth, shape)
+    fill = (eps if binary_eps is None else binary_eps) / NUM_REL_CLASSES
+    return U, None if block is None else pair_table(block, shape.n, fill)
 
 
 def _check_oracle(noise: float, binary_noise: Optional[float], jitter: float) -> None:
@@ -199,14 +165,38 @@ class OracleScorer:
         return puzzle.truth
 
     def score(self, rows: np.ndarray, shape: GridShape) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        return oracle_score(
-            rows,
-            shape,
-            self.noise,
-            rng=self.rng,
-            jitter=self.jitter,
-            binary_eps=self.binary_noise,
-        )
+        """U and V's pair block (None on 3D grids), mixing the truth's one-hots with uniform mass.
+
+        With ``rng`` given and 0 < eps < 1, each table draws a logit jitter of amplitude
+        ``jitter*eps*(1-eps)``, U's first.
+        """
+        eps = self.noise
+        binary_eps = eps if self.binary_noise is None else self.binary_noise
+        t = np.asarray(rows, dtype=np.int64)
+        n = shape.n
+
+        def noisy(base: np.ndarray, e: float) -> np.ndarray:
+            # Jitters the fresh ``base`` in place.
+            amp = self.jitter * e * (1.0 - e)
+            if self.rng is None or amp == 0.0:
+                return base
+            z = np.log(np.maximum(base, 1e-300, out=base), out=base)
+            z += amp * self.rng.standard_normal(base.shape)
+            z -= z.max(axis=-1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=-1, keepdims=True)
+            return z
+
+        U = np.full((n, n), eps / n)
+        U[np.arange(n), t] = eps / n + (1.0 - eps)
+        U = noisy(U, eps)
+        if shape.is_3d:
+            return U, None
+        p, q = ordered_pairs(n)
+        fill = binary_eps / NUM_REL_CLASSES
+        block = np.full((len(p), NUM_REL_CLASSES), fill)
+        block[np.arange(len(p)), relation_table(shape)[t[p], t[q]]] = fill + (1.0 - binary_eps)
+        return U, noisy(block, binary_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +268,16 @@ class LinearScorer:
         return features_of(puzzle)
 
     def score(self, rows: np.ndarray, shape: GridShape) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        return linear_score(self, rows)
+        """Row-softmaxed unary matrix and V's per-pair softmaxed pair block (None on 3D grids)."""
+        F = np.asarray(rows, dtype=np.float64)
+        n = self.shape.n
+        if F.shape != (n, self.d):
+            raise ValueError(f"feature set has shape {F.shape}, expected ({n}, {self.d})")
+        U = row_softmax((self.unary_w @ F.ravel() + self.unary_b).reshape(n, n))
+        if self.shape.is_3d:
+            return U, None
+        _, _, X = _pair_concat(F)
+        return U, row_softmax(X @ self.binary_w.T + self.binary_b)
 
 
 def _pair_concat(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,21 +287,9 @@ def _pair_concat(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def linear_score(model: LinearScorer, F) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Row-softmaxed unary matrix and per-pair softmaxed binary table."""
-    F = np.asarray(F, dtype=np.float64)
-    n = model.shape.n
-    if F.shape != (n, model.d):
-        raise ValueError(f"feature set has shape {F.shape}, expected ({n}, {model.d})")
-    logits = (model.unary_w @ F.ravel() + model.unary_b).reshape(n, n)
-    U = row_softmax(logits)
-    if model.shape.is_3d:
-        return U, None
-    p, q, X = _pair_concat(F)
-    pl = X @ model.binary_w.T + model.binary_b
-    probs = row_softmax(pl)
-    V = np.full((n, n, NUM_REL_CLASSES), 1.0 / NUM_REL_CLASSES)
-    V[p, q] = probs
-    return U, V
+    """``model.score`` with V in the public ``(n, n, 9)`` format, its unused diagonal uniform."""
+    U, block = model.score(F, model.shape)
+    return U, None if block is None else pair_table(block, model.shape.n, 1.0 / NUM_REL_CLASSES)
 
 
 def loss_and_grad(model: LinearScorer, F, truth, shape: GridShape) -> tuple[float, Params]:
@@ -311,12 +298,11 @@ def loss_and_grad(model: LinearScorer, F, truth, shape: GridShape) -> tuple[floa
     Unary: mean over slots of CE(U row s, truth[s]).  Binary (2D only): mean
     over ordered pairs of CE(V[p,q], true relative class).
     """
-    U, V = linear_score(model, F)
-    return _loss_and_grad(model, F, truth, shape, U, V)
+    return _loss_and_grad(model, F, truth, shape, *model.score(F, model.shape))
 
 
-def _loss_and_grad(model: LinearScorer, F, truth, shape: GridShape, U, V) -> tuple[float, Params]:
-    # loss_and_grad, given the tables that linear_score(model, F) returned.
+def _loss_and_grad(model: LinearScorer, F, truth, shape: GridShape, U, block) -> tuple[float, Params]:
+    # loss_and_grad, given the tables that model.score(F, model.shape) returned.
     F = np.asarray(F, dtype=np.float64)
     t = np.asarray(truth, dtype=np.int64)
     n = shape.n
@@ -336,7 +322,7 @@ def _loss_and_grad(model: LinearScorer, F, truth, shape: GridShape, U, V) -> tup
     else:
         rel = relation_table(shape)
         p, q, X = _pair_concat(F)
-        dP = V[p, q]
+        dP = block.copy()
         classes = rel[t[p], t[q]]
         loss_b = float(np.mean(neg_log(dP[np.arange(len(p)), classes])))
         dP[np.arange(len(p)), classes] -= 1.0
@@ -367,8 +353,9 @@ class TrainOptions:
     weight_init_scale: float = 0.01
 
     def __post_init__(self):
-        if min(self.learning_rate, self.weight_init_scale) <= 0:
-            raise ValueError("learning_rate and weight_init_scale must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.learning_rate, self.weight_init_scale)):
+            raise ValueError(f"learning_rate and weight_init_scale must be finite and positive, "
+                             f"got {self.learning_rate} and {self.weight_init_scale}")
         if min(self.batch_size, self.epochs, self.train_rounds) < 1:
             raise ValueError("batch_size, epochs and train_rounds must be >= 1")
 
@@ -402,8 +389,8 @@ def _sample_pass(
     # One sample's round-averaged loss/grad under iterative reorganization:
     # the solver's own loop, with the loss of each arrangement it scores.
     losses: list[float] = []
-    passes = (_loss_and_grad(model, F, t, shape, U, V)
-              for F, t, U, V, _, _ in search.rounds(model, feats, truth, shape, opts))
+    passes = (_loss_and_grad(model, F, t, shape, U, block)
+              for F, t, U, block, _, _ in search.rounds(model, feats, truth, shape, opts))
     grads = _summed(passes, losses)
     return sum(losses) / len(losses), grads.scaled(1.0 / len(losses))
 
@@ -445,10 +432,16 @@ def train_sgd(
 
 
 def save_model(model: LinearScorer, path) -> None:
+    """Write ``model`` as JSW1, or nothing if a value is not finite in float32 (``load_model`` refuses it)."""
+    with np.errstate(over="ignore"):
+        payload = [np.ascontiguousarray(arr, dtype="<f4") for arr in model.params]
+    for name, arr in zip(Params._fields, payload):
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: {name} has a value that is not finite in float32; nothing written")
     with open(path, "wb") as fh:
         fh.write(header_bytes(MODEL_MAGIC, MODEL_VERSION, model.shape.extents, (model.d, model.recipe)))
-        for arr in model.params:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for arr in payload:
+            fh.write(arr.tobytes())
 
 
 def load_model(path) -> LinearScorer:

@@ -1,10 +1,12 @@
 """Full configuration predictor and the iterative reorganization loop.
 
 Every solver entry validates and takes ``-ln`` of its tables once, at one
-boundary.  A round seeds from the Hungarian solution of the unary terms and
-ranks every permutation within a limited Hamming distance of the seed
-(radius 0 unless 2D binary terms apply) with one cost kernel over a cached
-identity-ball index; the parts at the winner are the round's cost.
+boundary.  The solver works on V's (n(n-1), 9) pair block: ``rounds`` passes
+on the block its provider scored, and a public (n, n, 9) V is cut to it there.
+A round seeds from the Hungarian solution of the unary terms and ranks every
+permutation within a limited Hamming distance of the seed (radius 0 unless 2D
+binary terms apply) with one cost kernel over a cached identity-ball index;
+the parts at the winner are the round's cost.
 
 ``rounds`` is the one reorganization loop, for solving and training replay
 alike: each round scores a puzzle's per-slot rows (computed once per puzzle)
@@ -21,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional, Protocol, TYPE_CHECKING
 import numpy as np
 
 from .assign import _tie_ruled
-from .cost import CostBreakdown, neg_log, validate_binary, validate_unary
+from .cost import CostBreakdown, neg_log, validate_binary, validate_pairs, validate_unary
 from .grid import (
     NUM_REL_CLASSES,
     GridShape,
@@ -88,7 +90,7 @@ class SolveTrace:
 
 
 class ScoreProvider(Protocol):
-    """Per-slot rows of a puzzle, once; score tables from rows in slot order, per round."""
+    """Per-slot rows of a puzzle, once; from rows in slot order, per round, U and V's pair block (or None)."""
 
     def rows(self, puzzle: "PuzzleInstance") -> np.ndarray:
         ...
@@ -231,9 +233,13 @@ def _refine(logu, logv, center, shape: GridShape, opts: SolverOptions):
 
 
 def _neg_logs(U, V, shape: GridShape):
-    # Every entry's table boundary: U, then V if given, checked for shape.n; -ln U, -ln V[ordered_pairs].
-    logu = neg_log(validate_unary(U, shape.n))
-    return logu, None if V is None else neg_log(validate_binary(V, shape.n)[ordered_pairs(shape.n)])
+    # Every entry's table boundary: U, then V if given, checked for shape.n; -ln U and -ln of
+    # V's pair block.  A 2D V is that block, as a score provider hands it; a public V is cut here.
+    n = shape.n
+    logu = neg_log(validate_unary(U, n))
+    if V is None:
+        return logu, None
+    return logu, neg_log(validate_pairs(V, n) if np.ndim(V) == 2 else validate_binary(V, n)[ordered_pairs(n)])
 
 
 def refine_with_binary(
@@ -261,8 +267,9 @@ def refine_with_binary(
 def predict(U, V, shape: GridShape, opts: SolverOptions) -> tuple[np.ndarray, CostBreakdown]:
     """Hungarian seed refined over the Hamming ball, and the winner's cost.
 
-    Without pair terms (``use_binary`` off, no V or a 3D grid) the ball has
-    radius 0: the seed wins, and its cost is the kernel's unary sum.
+    ``V`` is the public (n, n, 9) table or its pair block.  Without pair terms
+    (``use_binary`` off, no V or a 3D grid) the ball has radius 0: the seed
+    wins, and its cost is the kernel's unary sum.
     """
     pairs = opts.use_binary and V is not None and not shape.is_3d
     logu, logv = _neg_logs(U, V if pairs else None, shape)
@@ -295,16 +302,17 @@ def _provider_call(round_no: int, fn, *args):
 
 
 def rounds(provider: ScoreProvider, rows, truth, shape: GridShape, opts: SolverOptions) -> Iterator[tuple]:
-    """Score -> predict -> reorganize, yielding ``(rows, truth, U, V, prediction, cost)``.
+    """Score -> predict -> reorganize, yielding ``(rows, truth, U, block, prediction, cost)``.
 
-    After each round the patch in slot ``s`` moves to slot ``prediction[s]``
-    and its row and truth entry move with it.  Stops after a round that
-    proposes the identity, or after ``opts.max_rounds`` rounds.
+    Each round checks U and, when pair terms apply, the pair block once.  After
+    each round the patch in slot ``s`` moves to slot ``prediction[s]`` and its
+    row and truth entry move with it.  Stops after a round that proposes the
+    identity, or after ``opts.max_rounds`` rounds.
     """
     for idx in range(opts.max_rounds):
-        U, V = _provider_call(idx + 1, provider.score, rows, shape)
-        pred, cost = predict(U, V, shape, opts)
-        yield rows, truth, U, V, pred, cost
+        U, block = _provider_call(idx + 1, provider.score, rows, shape)
+        pred, cost = predict(U, block, shape, opts)
+        yield rows, truth, U, block, pred, cost
         if is_identity(pred):
             return
         back = np.argsort(pred)

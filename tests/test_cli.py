@@ -574,6 +574,15 @@ class TestBadInput:
         ["solve", "--grid", "2x2", "--oracle", "0", "--count", "1", "--max-rounds", "1000000000",
          "--report", "{out}"],
         ["bench", "--grid", "2x2", "--rounds", "1,1000000000", "--report", "{out}"],
+        # One seed check for every subcommand, before anything is read or written.
+        ["gen", "--grid", "2x2", "--out", "{out}", "--seed", "-5"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--seed", "-1"],
+        ["solve", "--grid", "3x3", "--oracle", "0.5", "--seed", "-1", "--report", "{out}"],
+        ["bench", "--grid", "2x2", "--seed", "-1", "--report", "{out}"],
+        # A learning rate and an init scale must be finite.
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--lr", "nan"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--init-scale", "inf"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--init-scale", "nan"],
     ])
     def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys, monkeypatch):
         rounds_used = spy_solves(monkeypatch)
@@ -583,6 +592,35 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert not out.exists() and rounds_used == []
+
+    @pytest.mark.parametrize("command", ["gen", "train", "solve", "bench"])
+    def test_negative_seed_message(self, command, corpus_dir, tmp_path, capsys):
+        argv = {"gen": ["gen", "--grid", "2x2"], "train": ["train", "--corpus", str(corpus_dir)],
+                "solve": ["solve", "--grid", "2x2", "--oracle", "0.5"], "bench": ["bench", "--grid", "2x2"]}
+        out = "--out" if command in ("gen", "train") else "--report"
+        assert main(argv[command] + [out, str(tmp_path / "out"), "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("command", ["gen", "train", "solve", "bench"])
+    def test_huge_seed_runs(self, command, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        argv = {"gen": ["gen", "--grid", "2x2", "--count", "1", "--out", str(out)] + GEN_FLAGS,
+                "train": ["train", "--corpus", str(corpus_dir), "--out", str(out), "--epochs", "1"],
+                "solve": ["solve", "--grid", "2x2", "--oracle", "0.5", "--count", "2", "--report", str(out)],
+                "bench": ["bench", "--grid", "2x2", "--count", "2", "--noise", "0.5", "--rounds", "2",
+                          "--report", str(out)]}[command]
+        assert main(argv + ["--seed", "1" * 23]) == EXIT_OK
+        assert out.exists()
+
+    @pytest.mark.parametrize("flags", [["--lr", "1e300", "--epochs", "3"], ["--init-scale", "1e300"]])
+    def test_diverged_model_is_not_written(self, flags, corpus_dir, tmp_path, capsys):
+        # The flags pass every rule; the weights this corpus drives them to do
+        # not fit JSW1's float32, so the run is a data error and writes nothing.
+        out = tmp_path / "m.jsw1"
+        assert main(["train", "--corpus", str(corpus_dir), "--out", str(out)] + flags) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and "not finite in float32" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @staticmethod
     def solve_edited(corpus, inst, pattern, repl, tmp_path, capsys):

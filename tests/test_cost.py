@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jigsolve.cost import (
+    ROW_SUM_TOL,
     CostBreakdown,
     binary_cost,
     column_sum_deviation,
@@ -16,9 +17,10 @@ from jigsolve.cost import (
     total_cost,
     unary_cost,
     validate_binary,
+    validate_pairs,
     validate_unary,
 )
-from jigsolve.grid import GridShape, relative_type
+from jigsolve.grid import GridShape, ordered_pairs, relative_type
 
 S2 = GridShape((2, 2))
 S3 = GridShape((3, 3))
@@ -289,3 +291,95 @@ class TestValidation:
     def test_breakdown_total(self):
         bd = CostBreakdown(unary=1.25, binary=0.5)
         assert bd.total == 1.75
+
+
+def validate_binary_reference(V, n=None):
+    """``validate_binary`` as it was when it checked the whole V under a diagonal mask (test-only)."""
+    arr = np.asarray(V, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 9:
+        raise ValueError(f"binary table must have shape (n, n, 9), got {arr.shape}")
+    if n is not None and arr.shape[0] != n:
+        raise ValueError(f"binary table is for n={arr.shape[0]}, expected n={n}")
+    flat = arr.ravel()
+    lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
+    if not -np.inf < lo <= hi < np.inf:
+        raise ValueError("binary table must be finite")
+    n = arr.shape[0]
+    dev = np.abs(np.ascontiguousarray(arr).sum(axis=2) - 1.0)
+    dev.flat[:: n + 1] = 0.0
+    if (lo < 0 and (arr[ordered_pairs(n)] < 0).any()) or not dev.max(initial=0.0) <= ROW_SUM_TOL:
+        raise ValueError("every off-diagonal 9-vector must be a distribution")
+    return arr
+
+
+def edge_tables():
+    """Seeded V tables at the validators' edges, each with the cell it edits: (label, V, on_diagonal)."""
+    rng = np.random.default_rng(71)
+    # Row-sum edits on both sides of the tolerance, and within a few ulps of it.
+    offsets = [0.3e-9, 0.5e-9, 0.9e-9, 1.1e-9, 1.2e-9] + [1e-9 + j * 1e-16 for j in range(-3, 4)]
+    for n in (2, 4, 9):
+        V = row_softmax(rng.standard_normal((n * n, 9))).reshape(n, n, 9)
+        yield "clean", V, False
+        p, q = ordered_pairs(n)
+        for on_diagonal in (True, False):
+            for _ in range(3):
+                k = int(rng.integers(len(p)))
+                a, b = (k % n, k % n) if on_diagonal else (p[k], q[k])
+                c = int(rng.integers(9))
+                for bad in (math.nan, math.inf, -math.inf, -1e-3, -0.5):
+                    W = V.copy()
+                    W[a, b, c] = bad
+                    yield f"{bad}", W, on_diagonal
+                    if math.isfinite(bad):  # a negative entry in a row that still sums to 1
+                        W[a, b, (c + 1) % 9] += V[a, b, c] - bad
+                        yield f"{bad} in a unit row", W, on_diagonal
+                for off in offsets:
+                    for sign in (1, -1):
+                        W = V.copy()
+                        W[a, b, c] += sign * off
+                        yield f"{sign * off:g}", W, on_diagonal
+
+
+def layouts(V):
+    """V in C order, in Fortran order, and as the transpose of a transposed C copy."""
+    yield np.ascontiguousarray(V)
+    yield np.asfortranarray(V)
+    yield np.ascontiguousarray(V.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def outcome(validate, *args):
+    try:
+        validate(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestPairBlock:
+    """The public V's check and its pair block's check against the masked whole-V check."""
+
+    def test_same_verdicts_and_messages_as_the_masked_check(self):
+        verdicts = set()
+        for label, V, on_diagonal in edge_tables():
+            n = V.shape[0]
+            for table in layouts(V):
+                want = outcome(validate_binary_reference, table, n)
+                assert outcome(validate_binary, table, n) == want, (label, on_diagonal)
+                # The block carries no diagonal: it answers as V with a valid one would,
+                # in whatever layout a provider hands it.
+                clean = table.copy()
+                clean[np.arange(n), np.arange(n)] = 1 / 9
+                block = table[ordered_pairs(n)]
+                for layout in (block, np.asfortranarray(block)):
+                    assert outcome(validate_pairs, layout, n) == outcome(validate_binary_reference, clean, n)
+                verdicts.add((label, on_diagonal, want))
+        # Every kind of edit must both pass and fail somewhere for the comparison to bite.
+        assert ("nan", True, "binary table must be finite") in verdicts
+        assert ("-0.5 in a unit row", True, None) in verdicts
+        assert ("-0.5 in a unit row", False, "every off-diagonal 9-vector must be a distribution") in verdicts
+        assert ("3e-10", False, None) in verdicts
+        assert ("1.2e-09", False, "every off-diagonal 9-vector must be a distribution") in verdicts
+
+    def test_block_shape_is_checked(self):
+        with pytest.raises(ValueError, match=re.escape("pair block must have shape (6, 9), got (9, 9)")):
+            validate_pairs(np.full((9, 9), 1 / 9), 3)

@@ -463,6 +463,12 @@ class TestTrainSgd:
         with pytest.raises(ValueError):
             TrainOptions(train_rounds=0)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_init_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rates_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            TrainOptions(**{field: value})
+
 
 class TestIterativeAugmentation:
     def test_perfect_scores_shrink_distance_monotonically(self):
@@ -537,6 +543,24 @@ class TestSerialization:
             path.write_bytes(blob[:40] + np.array(value, dtype="<f4").tobytes() + blob[44:])
             with pytest.raises(FormatError, match=r"m\.jsw1: non-finite value \(byte offset 40\)"):
                 load_model(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -3.5e38])
+    def test_save_refuses_what_load_refuses(self, tmp_path, bad):
+        # A value past float32's range would be stored as inf, which load_model refuses.
+        model = LinearScorer.init_random(S2, 22, np.random.default_rng(54))
+        model.binary_b[3] = bad
+        path = tmp_path / "m.jsw1"
+        with pytest.raises(FormatError, match=r"^.*m\.jsw1: binary_b has a value that is not finite in float32"):
+            save_model(model, path)
+        assert not path.exists()
+
+    def test_float32_extremes_round_trip(self, tmp_path):
+        model = LinearScorer.init_random(S2, 22, np.random.default_rng(55))
+        top = float(np.finfo(np.float32).max)
+        model.unary_b[:2] = top, -top
+        path = tmp_path / "m.jsw1"
+        save_model(model, path)
+        assert load_model(path).unary_b[:2].tolist() == [top, -top]
 
     def test_extent_past_the_file_rejected(self, tmp_path):
         model = LinearScorer.init_random(S2, 22, np.random.default_rng(53))

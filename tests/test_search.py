@@ -3,15 +3,17 @@
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jigsolve import assign, grid, scorer, search
+from jigsolve import assign, cost, grid, scorer, search
 from jigsolve.assign import unary_argmin
 from jigsolve.cost import neg_log, row_softmax, softmax9, total_cost, validate_binary, validate_unary
 from jigsolve.grid import (
@@ -433,6 +435,24 @@ class TestEntryTables:
                 ENTRIES[entry](U, V)
             assert str(got.value) == str(want.value)
 
+    def test_pair_block_is_taken_as_it_is(self):
+        # A 2D V is the pair block a score provider hands the loop: the
+        # entries answer as for the public V it was cut from, and check it.
+        U, V = random_tables(9, np.random.default_rng(62))
+        block = V[ordered_pairs(9)]
+        for opts in (SolverOptions(), SolverOptions(radius=2, candidate_cap=20)):
+            (got, got_cost), (want, want_cost) = predict(U, block, S3, opts), predict(U, V, S3, opts)
+            assert got.tolist() == want.tolist() and got_cost == want_cost
+        seed = random_permutation(9, np.random.default_rng(63))
+        assert (refine_with_binary(U, block, seed, S3, 3) == refine_with_binary(U, V, seed, S3, 3)).all()
+        block[5, 3] += block[5, 2] + 0.25  # a negative entry in a row that still sums to 1
+        block[5, 2] = -0.25
+        for entry in sorted(ENTRIES):
+            with pytest.raises(ValueError, match="^every off-diagonal 9-vector must be a distribution$"):
+                ENTRIES[entry](U, block)
+            with pytest.raises(ValueError, match=re.escape("pair block must have shape (72, 9), got (81, 9)")):
+                ENTRIES[entry](U, V.reshape(81, 9))
+
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_unary_is_checked_without_v(self, entry):
         U = np.full((9, 9), 1 / 9)
@@ -602,16 +622,13 @@ class TestOneLoop:
         # Some puzzles must move their patches for the comparison to bite.
         assert rounds > len(puzzles)
 
-    @pytest.mark.parametrize("spec,count,scale", [("2x2", 6, 1.0), ("3x3", 3, 0.5),
-                                                  ("2x2x2", 2, 1.0)])
-    def test_learned(self, spec, count, scale):
+    def learned(self, spec, count, scale, opts):
         corpus, model = learned_case(GridShape.parse(spec), count, 61, scale)
         self.check(lambda: model,
                    lambda: lambda inst: linear_score(model, features_of(inst)),
-                   corpus, SolverOptions(max_rounds=6))
+                   corpus, opts)
 
-    @pytest.mark.parametrize("spec,eps", [("3x3", 0.5), ("3x3x3", 0.3)])
-    def test_oracle(self, spec, eps):
+    def oracle(self, spec, eps, opts):
         shape = GridShape.parse(spec)
         puzzles = [PuzzleInstance.scrambled(shape, np.random.default_rng([62, i]))
                    for i in range(4)]
@@ -620,8 +637,50 @@ class TestOneLoop:
             rng = np.random.default_rng(63)
             return lambda inst: oracle_score(inst.truth, shape, eps, rng=rng)
 
-        self.check(lambda: OracleScorer(eps, rng=np.random.default_rng(63)), reference,
-                   puzzles, SolverOptions())
+        self.check(lambda: OracleScorer(eps, rng=np.random.default_rng(63)), reference, puzzles, opts)
+
+    @pytest.mark.parametrize("spec,count,scale", [("2x2", 6, 1.0), ("3x3", 3, 0.5),
+                                                  ("2x2x2", 2, 1.0)])
+    def test_learned(self, spec, count, scale):
+        self.learned(spec, count, scale, SolverOptions(max_rounds=6))
+
+    @pytest.mark.parametrize("spec,eps", [("3x3", 0.5), ("3x3x3", 0.3)])
+    def test_oracle(self, spec, eps):
+        self.oracle(spec, eps, SolverOptions())
+
+    def test_learned_without_pairs(self):
+        self.learned("2x2", 6, 1.0, SolverOptions(max_rounds=6, use_binary=False))
+
+    def test_oracle_without_pairs(self):
+        self.oracle("3x3", 0.5, SolverOptions(use_binary=False))
+
+    @pytest.mark.parametrize("case", ["oracle-3x3", "oracle-3x3x3", "learned-2x2", "learned-2x2x2"])
+    @pytest.mark.parametrize("use_binary", [True, False])
+    def test_rounds_check_the_pair_block_once(self, case, use_binary, monkeypatch):
+        # Each round checks U once and, when pair terms apply, the provider's
+        # pair block once; no round builds or checks the public (n, n, 9) V.
+        kind, spec = case.split("-")
+        shape = GridShape.parse(spec)
+        if kind == "oracle":
+            provider = OracleScorer(0.5, rng=np.random.default_rng(66))
+            puzzle = PuzzleInstance.scrambled(shape, np.random.default_rng(67))
+        else:
+            (puzzle,), provider = learned_case(shape, 1, 68, 1.0)
+        calls = Counter()
+        for module, name in ((search, "validate_unary"), (search, "validate_pairs"),
+                             (search, "validate_binary"), (cost, "pair_table"), (scorer, "pair_table")):
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        opts = SolverOptions(use_binary=use_binary)
+        used = sum(1 for _ in search.rounds(provider, provider.rows(puzzle), puzzle.truth, shape, opts))
+        pairs = use_binary and not shape.is_3d
+        assert used > 1
+        assert calls == Counter(validate_unary=used, validate_pairs=used if pairs else 0)
 
     def test_features_once_per_puzzle(self, monkeypatch):
         corpus, model = learned_case(S2, 4, 64, 1.0)
