@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage, 3 data/format, 4 selftest failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -158,7 +159,7 @@ def _trajectories(args, shape, instances, count, opts, model, eps):
     """One solve per puzzle: (each round's Hamming distance to the truth, converged, degraded); wall time."""
     t0, out = time.perf_counter(), []
     for index in range(count):
-        rng = np.random.default_rng([args.seed, index])
+        rng = np.random.default_rng([args.seed, index]) if model is None else None  # a model run draws none
         instance = instances[index] if instances else PuzzleInstance.scrambled(shape, rng)
         provider = OracleScorer(eps, rng, args.oracle_binary, args.oracle_jitter) if model is None else model
         trace = search.solve_iterative(provider, instance, opts)
@@ -217,16 +218,27 @@ def _sweep(args, shape, instances, count, model, noises, settings, caps):
                     yield (eps, None if i else wall, *_report(trajectories, shape, args.seed, desc, opts, k))
 
 
-def _write_report(path, records) -> None:
+@contextlib.contextmanager
+def _exact_ints():
     # From 1559 cells on, config_space_size (the exact n!) passes int's 4300-digit str limit.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        with open(path, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _write_report(path, records) -> None:
+    with _exact_ints(), open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def read_report(path) -> list[dict]:
+    """A report's records in file order, with the exact n! of a grid of any size."""
+    with _exact_ints(), open(path) as fh:
+        return [json.loads(line) for line in fh]
 
 
 def _load_solve_inputs(args):
@@ -357,17 +369,35 @@ def cmd_selftest(args) -> int:
             trace = search.solve_iterative(OracleScorer(0.0), inst, SolverOptions())
             assert trace.solved and trace.converged, f"eps=0 failed on {spec}"
 
-    def descriptor_batch_invariance():
-        # The descriptor reduces a whole puzzle's stack at once; each row must
-        # have the bytes of the same tile described alone.
-        for spec, tile in (("3x3", (21, 19, 3)), ("2x2x2", (7, 9, 8, 2))):
+    def reference_descriptor(patch):
+        # One tile, one numpy call per statistic: mean, std, the strip means
+        # (x first) and the channel-mean map pooled through array_split.
+        arr = np.asarray(patch, dtype=np.float64)
+        spatial, cells = tuple(range(arr.ndim - 1)), scorer.POOL_CELLS[arr.ndim - 1]
+        edges = (slice(None, scorer.EDGE_STRIP), slice(-scorer.EDGE_STRIP, None))
+        strips = [arr[(slice(None),) * ax + (edge,)] for ax in reversed(spatial) for edge in edges]
+        pooled = arr.mean(axis=-1)
+        for ax in spatial:
+            pooled = np.stack([c.mean(axis=ax) for c in np.array_split(pooled, cells, axis=ax)], axis=ax)
+        return np.concatenate([arr.mean(axis=spatial), arr.std(axis=spatial),
+                               *(st.mean(axis=spatial) for st in strips), pooled.ravel()])
+
+    def descriptor_bytes():
+        # The kernel reduces a whole puzzle's stack at once, and keeps numpy's
+        # reduction order to do it: each row, and each tile described alone,
+        # must have the bytes of the reference loop on that tile.
+        for spec, tile in (("3x3", (21, 19, 3)), ("2x2", (16, 16, 1)), ("2x2x2", (7, 9, 8, 2)),
+                           ("2x2x2", (4, 6, 8, 1))):
             shape = GridShape.parse(spec)
-            patches = rng.standard_normal((shape.n,) + tile).astype(np.float32)
-            inst = PuzzleInstance(shape=shape, truth=np.arange(shape.n), patches=patches)
-            rows = scorer.features_of(inst)
-            for i, patch in enumerate(patches):
-                alone = scorer.extract_features(patch)
-                assert rows[i].tobytes() == alone.tobytes(), f"{spec}: row {i} differs alone"
+            for dtype in (np.float32, np.float64):
+                patches = (rng.standard_normal((shape.n,) + tile) * 10.0 ** rng.uniform(-5, 5)).astype(dtype)
+                inst = PuzzleInstance(shape=shape, truth=np.arange(shape.n), patches=patches)
+                rows = scorer.features_of(inst)
+                for i, patch in enumerate(patches):
+                    want = reference_descriptor(patch).tobytes()
+                    assert rows[i].tobytes() == want, f"{spec} {tile}: row {i} differs from the reference"
+                    alone = scorer.extract_features(patch).tobytes()
+                    assert alone == want, f"{spec} {tile}: tile {i} alone differs from the reference"
 
     check("assignment optimality vs brute force (n<=5, tol 1e-12)",
           lambda: assignment_optimality(lambda n: rng.random((n, n))))
@@ -376,8 +406,8 @@ def cmd_selftest(args) -> int:
     check("hamming ball cardinalities vs formula and S_n filter (exact)", ball_cardinalities)
     check("analytic gradients vs central differences (rel err < 1e-4)", gradient_check)
     check("perfect oracle solves scrambles (exact)", perfect_oracle)
-    check("patch descriptor of a stack vs each tile alone (2D and 3D, same bytes)",
-          descriptor_batch_invariance)
+    check("patch descriptor of a stack and of each tile vs the per-tile numpy loop (2D and 3D, same bytes)",
+          descriptor_bytes)
 
     failed = [c for c in checks if not c[1]]
     for name, ok, msg in checks:

@@ -76,26 +76,38 @@ def _descriptors(stack) -> np.ndarray:
     # (k, d) descriptors of a stack of k tiles, (k, H, W, C) or (k, Z, H, W, C).
     # Every reduction runs over the spatial axes 1.. of the whole stack; the
     # leading batch axis keeps each one's inner loop and summation order, so
-    # row i has the same bytes as a stack of tile i alone.
+    # row i has the same bytes as a stack of tile i alone.  Those are numpy's
+    # mean, std and array_split bytes on the tile, so every sum keeps their
+    # order: one spatial add.reduce, and pooling one axis at a time, y first.
     arr = np.asarray(stack, dtype=np.float64)
     check_tile(arr.shape[1:])
     if not np.isfinite(arr).all():
         raise ValueError("patch values must be finite")
-    spatial = tuple(range(1, arr.ndim - 1))
+    k, spatial, size = len(arr), tuple(range(1, arr.ndim - 1)), math.prod(arr.shape[1:-1])
+    # np.std's steps on the mean's own sum: divide, subtract, square, sum, divide, sqrt.
+    mean = np.add.reduce(arr, axis=spatial, keepdims=True)
+    mean /= size
+    dev = arr - mean
+    var = np.add.reduce(np.square(dev, out=dev), axis=spatial)
+    var /= size
     # Two boundary strips per spatial axis, x (the last) first: basic slices,
     # so each strip is a view and its mean sums in the tile's own order.
     edges = (slice(None, EDGE_STRIP), slice(-EDGE_STRIP, None))
     strips = [arr[(slice(None),) * ax + (edge,)] for ax in reversed(spatial) for edge in edges]
     # Block-average the channel-mean map down to the pooling grid, one
-    # spatial axis at a time; array_split handles non-divisible extents.
+    # spatial axis at a time, in array_split's chunks: r of q + 1, then cells - r of q.
     cells = POOL_CELLS[len(spatial)]
     pooled = arr.mean(axis=-1)
     for ax in spatial:
-        chunks = np.array_split(pooled, cells, axis=ax)
-        pooled = np.stack([c.mean(axis=ax) for c in chunks], axis=ax)
-    parts = [arr.mean(axis=spatial), arr.std(axis=spatial)]
+        q, r = divmod(pooled.shape[ax], cells)
+        runs = ((0, r, q + 1), (r * (q + 1), cells - r, q))  # (first pixel, chunks, width): one mean each
+        pooled = np.concatenate([
+            pooled[(slice(None),) * ax + (slice(start, start + count * width),)]
+            .reshape(pooled.shape[:ax] + (count, width) + pooled.shape[ax + 1:]).mean(axis=ax + 1)
+            for start, count, width in runs], axis=ax)
+    parts = [mean.reshape(k, arr.shape[-1]), np.sqrt(var, out=var)]
     parts += [st.mean(axis=spatial) for st in strips]
-    parts.append(pooled.reshape(len(arr), cells ** len(spatial)))
+    parts.append(pooled.reshape(k, cells ** len(spatial)))
     return np.concatenate(parts, axis=1)
 
 
@@ -356,6 +368,9 @@ class TrainOptions:
         if not all(math.isfinite(v) and v > 0 for v in (self.learning_rate, self.weight_init_scale)):
             raise ValueError(f"learning_rate and weight_init_scale must be finite and positive, "
                              f"got {self.learning_rate} and {self.weight_init_scale}")
+        if not math.isfinite(2.0 * self.weight_init_scale):  # init_random draws from a range this wide
+            raise ValueError(f"weight_init_scale must leave a finite draw range 2*scale, "
+                             f"got {self.weight_init_scale}")
         if min(self.batch_size, self.epochs, self.train_rounds) < 1:
             raise ValueError("batch_size, epochs and train_rounds must be >= 1")
 

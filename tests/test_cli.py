@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jigsolve import scorer, search
+from jigsolve import cli, scorer, search
 from jigsolve.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -262,6 +262,42 @@ class TestSolve:
             assert f'"config_space_size": {space},' in text
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_library_reader_past_the_int_digit_limit(self, tmp_path):
+        report = tmp_path / "r.jsonl"
+        code = main(["solve", "--grid", "40x40", "--oracle", "0.0", "--no-binary", "--count", "1",
+                     "--max-rounds", "1", "--report", str(report)])
+        assert code == EXIT_OK
+        limit = sys.get_int_max_str_digits()
+        records = cli.read_report(report)
+        assert sys.get_int_max_str_digits() == limit
+        assert [r["type"] for r in records] == ["puzzle", "aggregate"]
+        assert records[0]["solved"] and records[-1]["config_space_size"] == math.factorial(1600)
+
+    def test_library_reader_restores_the_limit_on_error(self, tmp_path):
+        report = tmp_path / "r.jsonl"
+        report.write_text('{"type": "puzzle"}\n{"type": \n')
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(json.JSONDecodeError):
+                cli.read_report(report)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("source", ["grid", "corpus", "model"])
+    def test_only_oracle_runs_build_a_stream(self, source, corpus_dir, tmp_path, monkeypatch):
+        # One default_rng([seed, index]) per puzzle, in index order, for oracle
+        # scoring and fresh scrambles; a model run reads no stream and builds none.
+        model = random_model(tmp_path / "m.jsw1")
+        argv = {"grid": ["--grid", "2x2", "--oracle", "0.5", "--count", "5"],
+                "corpus": ["--corpus", str(corpus_dir), "--oracle", "0.5", "--count", "5"],
+                "model": ["--corpus", str(corpus_dir), "--model", str(model), "--count", "5"]}[source]
+        built, real = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: built.append(seed) or real(seed))
+        assert main(["solve", "--seed", "9", "--report", str(tmp_path / "r.jsonl")] + argv) == EXIT_OK
+        assert built == ([] if source == "model" else [[9, index] for index in range(5)])
 
     def test_config_space_past_float_range(self, tmp_path):
         # 180! does not fit in a float, so its approximation is null.
@@ -583,6 +619,9 @@ class TestBadInput:
         ["train", "--corpus", "{corpus}", "--out", "{out}", "--lr", "nan"],
         ["train", "--corpus", "{corpus}", "--out", "{out}", "--init-scale", "inf"],
         ["train", "--corpus", "{corpus}", "--out", "{out}", "--init-scale", "nan"],
+        # So must the draw range 2*scale.
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--init-scale", "1e308"],
+        ["train", "--corpus", "{corpus}", "--out", "{out}", "--init-scale", "1.7976931348623157e308"],
     ])
     def test_bad_flag_is_usage_error(self, argv, corpus_dir, tmp_path, capsys, monkeypatch):
         rounds_used = spy_solves(monkeypatch)

@@ -67,6 +67,67 @@ def per_patch_reference(patch: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def array_split_descriptors(stack) -> np.ndarray:
+    """The kernel's earlier body, verbatim: numpy's mean and std, array_split chunks one by one."""
+    arr = np.asarray(stack, dtype=np.float64)
+    scorer.check_tile(arr.shape[1:])
+    if not np.isfinite(arr).all():
+        raise ValueError("patch values must be finite")
+    spatial = tuple(range(1, arr.ndim - 1))
+    # Two boundary strips per spatial axis, x (the last) first: basic slices,
+    # so each strip is a view and its mean sums in the tile's own order.
+    edges = (slice(None, scorer.EDGE_STRIP), slice(-scorer.EDGE_STRIP, None))
+    strips = [arr[(slice(None),) * ax + (edge,)] for ax in reversed(spatial) for edge in edges]
+    # Block-average the channel-mean map down to the pooling grid, one
+    # spatial axis at a time; array_split handles non-divisible extents.
+    cells = scorer.POOL_CELLS[len(spatial)]
+    pooled = arr.mean(axis=-1)
+    for ax in spatial:
+        chunks = np.array_split(pooled, cells, axis=ax)
+        pooled = np.stack([c.mean(axis=ax) for c in chunks], axis=ax)
+    parts = [arr.mean(axis=spatial), arr.std(axis=spatial)]
+    parts += [st.mean(axis=spatial) for st in strips]
+    parts.append(pooled.reshape(len(arr), cells ** len(spatial)))
+    return np.concatenate(parts, axis=1)
+
+
+def seeded_stacks(count: int, seed: int = 2025):
+    """``count`` stacks cycling through rank, channels, dtype and extents; ``(key, stack)`` each.
+
+    Extents are all divisible by the pooling grid, none, or a random mix;
+    magnitudes run from 1e-5 to 1e5 around an offset; about 5% of values are
+    -0.0, every 50th stack is all -0.0, and every 7th stack is empty.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        rank, channels, dtype = 2 + i % 2, 1 + i // 2 % 3, (np.float32, np.float64)[i // 6 % 2]
+        cells, mode = scorer.POOL_CELLS[rank], ("divisible", "none", "mixed")[i // 12 % 3]
+        low, high = {"divisible": (0, 1), "none": (1, cells), "mixed": (0, cells)}[mode]  # remainders
+        blocks = rng.integers(1, 10 if rank == 2 else 5, size=rank)
+        extents = cells * blocks + rng.integers(low, high, size=rank)
+        shape = (i % 7,) + tuple(int(e) for e in extents) + (channels,)
+        scale = 10.0 ** rng.uniform(-5, 5)
+        stack = ((rng.standard_normal(shape) + rng.uniform(-3, 3)) * scale).astype(dtype)
+        stack[rng.random(shape) < 0.05] = -0.0
+        if i % 50 == 49:
+            stack[...] = -0.0
+        yield (rank, channels, np.dtype(dtype).name, mode), stack
+
+
+class TestDescriptorExactness:
+    """The kernel against :func:`array_split_descriptors`, byte for byte, over 600 seeded stacks."""
+
+    def test_bytes_equal_array_split_form(self):
+        kinds, empty = set(), 0
+        for key, stack in seeded_stacks(600):
+            kinds.add(key)
+            empty += len(stack) == 0
+            got, want = scorer._descriptors(stack), array_split_descriptors(stack)
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert got.tobytes() == want.tobytes(), (key, stack.shape)
+        assert len(kinds) == 2 * 3 * 2 * 3 and empty >= 80
+
+
 class TestDescriptorKernel:
     """``scorer._descriptors`` over a stack against the per-tile reference, byte for byte."""
 
