@@ -4,9 +4,11 @@ Reports are line-delimited JSON, one record per puzzle plus one aggregate
 record, written in puzzle-index order so identical flags and seed produce
 byte-identical files at any thread count.  Timing goes to stderr only.
 ``bench`` solves each puzzle once per (noise, radius, binary) at the largest
-``--rounds`` cap and reads every cap's aggregate off that one trajectory;
-``solve`` is that sweep at one setting.  Every setting is checked before
-anything is read or built, and a run past ``MEMORY_BUDGET`` is refused.
+``--rounds`` cap and folds that trajectory into every cap's counts as it ends;
+``solve`` is that sweep at one setting.  Records stream to a file beside
+``--report`` that replaces it only when the run succeeds, and no per-puzzle
+state is held.  Every setting is checked before anything is read or built,
+and a run past ``MEMORY_BUDGET`` is refused.
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 selftest failure.
 """
@@ -17,6 +19,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -155,67 +158,70 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _trajectories(args, shape, instances, count, opts, model, eps):
-    """One solve per puzzle: (each round's Hamming distance to the truth, converged, degraded); wall time."""
-    t0, out = time.perf_counter(), []
+def _fold(args, shape, instances, count, opts, model, eps, caps, write):
+    """Wall time, each round's solved share, and per cap the ``d <= 2`` count and rounds used.
+
+    Each puzzle is solved once at ``opts`` and its trajectory folded in as it ends, then dropped; it stays
+    as its last round left it, so the shares run to the longest trajectory.  ``write``, if given, takes
+    each puzzle's record.
+    """
+    t0, near, used = time.perf_counter(), [0] * len(caps), [0] * len(caps)
+    ended, offsets = 0, []  # puzzles their last round left solved; per round, the solved count less that
     for index in range(count):
         rng = np.random.default_rng([args.seed, index]) if model is None else None  # a model run draws none
         instance = instances[index] if instances else PuzzleInstance.scrambled(shape, rng)
         provider = OracleScorer(eps, rng, args.oracle_binary, args.oracle_jitter) if model is None else model
         trace = search.solve_iterative(provider, instance, opts)
-        out.append(([r.hamming_to_truth for r in trace.rounds], trace.converged, trace.binary_degraded))
-    return out, time.perf_counter() - t0
+        hams = [r.hamming_to_truth for r in trace.rounds]
+        solved = hams[-1] == 0
+        ended += solved
+        offsets += [0] * (len(hams) - len(offsets))
+        for j, ham in enumerate(hams):
+            offsets[j] += (ham == 0) - solved
+        for i, k in enumerate(caps):
+            cut = min(k, len(hams))
+            near[i] += hams[cut - 1] <= 2
+            used[i] += cut
+        if write:
+            write({"type": "puzzle", "index": index, "rounds_used": len(hams), "converged": trace.converged,
+                   "solved": solved, "final_hamming": hams[-1], "binary_degraded": trace.binary_degraded})
+    return time.perf_counter() - t0, [(ended + o) / count for o in offsets], near, used
 
 
-def _report(trajectories, shape, seed, scorer_desc, opts, k):
-    """Puzzle records and aggregate of a solve at ``opts`` capped at ``k`` rounds."""
-    records = []
-    for index, (hams, converged, degraded) in enumerate(trajectories):
-        used = min(k, len(hams))
-        records.append({"type": "puzzle", "index": index, "rounds_used": used,
-                        "converged": converged and k >= len(hams), "solved": hams[used - 1] == 0,
-                        "final_hamming": hams[used - 1], "binary_degraded": degraded})
-    final = np.array([r["final_hamming"] for r in records])
-    # Each round's solved share; a puzzle stays as its last round left it, so it ends at the exact rate.
-    run = max(r["rounds_used"] for r in records)
-    curve = [sum(hams[min(j, len(hams) - 1)] == 0 for hams, *_ in trajectories) / len(records)
-             for j in range(run)]
-    space = math.factorial(shape.n)
-    return records, {
-        "type": "aggregate",
-        "grid": str(shape),
-        "seed": seed,
-        "scorer": scorer_desc,
-        "radius": opts.radius,
-        "max_rounds": k,
-        "use_binary": opts.use_binary,
-        "n_puzzles": len(records),
-        "exact_rate": curve[-1],
-        "d_le_2_rate": float(np.mean(final <= 2)),
-        "mean_rounds": float(np.mean([r["rounds_used"] for r in records])),
-        "config_space_size": space,
-        "config_space_size_approx": float(space) if space <= sys.float_info.max else None,
-        "per_round_solved": curve + curve[-1:] * (k - run),
-    }
-
-
-def _sweep(args, shape, instances, count, model, noises, settings, caps):
-    """``(noise, wall, records, aggregate)`` per setting and cap, by noise, radius, cap, binary.
+def _sweep(args, shape, instances, count, model, noises, settings, caps, write=None):
+    """``(noise, wall, aggregate)`` per setting and cap, by noise, radius, cap, binary.
 
     Each puzzle is solved once per noise and setting, at the largest cap, in
     ``wall`` seconds (given with the first cap, None after).  A cap-k solve is
     the first k rounds of any longer one, and the truth's Hamming distance after
     a round's move is that round's ``hamming_to_truth``: each cap cuts them.
     """
+    space = math.factorial(shape.n)
     for eps in noises:
         desc = f"model:{args.model}" if model is not None else f"oracle:eps={eps}" + (
             f",binary_eps={args.oracle_binary}" if args.oracle_binary is not None else "")
         for per_binary in settings:
-            solved = [(opts, *_trajectories(args, shape, instances, count, opts, model, eps))
+            folded = [(opts, *_fold(args, shape, instances, count, opts, model, eps, caps, write))
                       for opts in per_binary]
             for i, k in enumerate(caps):
-                for opts, trajectories, wall in solved:
-                    yield (eps, None if i else wall, *_report(trajectories, shape, args.seed, desc, opts, k))
+                for opts, wall, curve, near, used in folded:
+                    run = min(k, len(curve))
+                    yield eps, None if i else wall, {
+                        "type": "aggregate",
+                        "grid": str(shape),
+                        "seed": args.seed,
+                        "scorer": desc,
+                        "radius": opts.radius,
+                        "max_rounds": k,
+                        "use_binary": opts.use_binary,
+                        "n_puzzles": count,
+                        "exact_rate": curve[run - 1],
+                        "d_le_2_rate": near[i] / count,
+                        "mean_rounds": used[i] / count,
+                        "config_space_size": space,
+                        "config_space_size_approx": float(space) if space <= sys.float_info.max else None,
+                        "per_round_solved": curve[:run] + curve[-1:] * (k - run),
+                    }
 
 
 @contextlib.contextmanager
@@ -229,10 +235,18 @@ def _exact_ints():
         sys.set_int_max_str_digits(limit)
 
 
-def _write_report(path, records) -> None:
-    with _exact_ints(), open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+@contextlib.contextmanager
+def _report_writer(path):
+    """``write(record)`` to a sibling temporary file, moved onto ``path`` only if the block succeeds."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "w")
+    try:
+        with _exact_ints(), fh:
+            yield lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_report(path) -> list[dict]:
@@ -268,8 +282,9 @@ def cmd_solve(args) -> int:
     settings = _run_settings(args, noises, [args.radius], caps, [not args.no_binary])
     model, instances, shape, count = _load_solve_inputs(args)
     _admit(shape, settings[0], CURVE_BYTES * args.max_rounds, "the report's curve")
-    ((_, wall, records, agg),) = _sweep(args, shape, instances, count, model, noises, settings, caps)
-    _write_report(args.report, records + [agg])
+    with _report_writer(args.report) as write:
+        ((_, wall, agg),) = _sweep(args, shape, instances, count, model, noises, settings, caps, write)
+        write(agg)
     print(f"{count} puzzles in {wall:.2f}s: exact_rate={agg['exact_rate']:.4f} "
           f"d_le_2_rate={agg['d_le_2_rate']:.4f} mean_rounds={agg['mean_rounds']:.2f}", file=sys.stderr)
     return EXIT_OK
@@ -294,16 +309,18 @@ def cmd_bench(args) -> int:
     settings = _run_settings(args, noises, radii, caps, binaries)
     options = sum(settings, [])
     _admit(shape, options, CURVE_BYTES * len(noises) * len(options) * sum(caps), "the report's curves")
-    rows = list(_sweep(args, shape, None, args.count, None, noises, settings, caps))
-    _write_report(args.report, [agg for *_, agg in rows])
+    with _report_writer(args.report) as write:
+        rows = list(_sweep(args, shape, None, args.count, None, noises, settings, caps))
+        for *_, agg in rows:
+            write(agg)
     print("noise  radius  rounds  binary  exact    d<=2     mean_rounds", file=sys.stderr)
     row = ("{eps:<6g} {radius:<7d} {max_rounds:<7d} {use_binary!s:<7s} "
            "{exact_rate:<8.4f} {d_le_2_rate:<8.4f} {mean_rounds:.2f}")
-    for eps, _, _, agg in rows:
+    for eps, _, agg in rows:
         print(row.format(eps=eps, **agg), file=sys.stderr)
     print(f"noise  radius  binary  wall (one solve at {max(caps)} rounds, shared by every cap)",
           file=sys.stderr)
-    for eps, wall, _, agg in rows:
+    for eps, wall, agg in rows:
         if wall is not None:
             print(f"{eps:<6g} {agg['radius']:<7d} {agg['use_binary']!s:<7s} {wall:.2f}s", file=sys.stderr)
     return EXIT_OK

@@ -243,7 +243,7 @@ def hamming_ball_size(n: int, radius: int) -> int:
     return total
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _ball_table(n: int, radius: int) -> np.ndarray:
     # The read-only (|B|, n) ball around the identity, in the order documented
     # on enumerate_hamming_ball.  center[table] is the ball around center in

@@ -1,8 +1,10 @@
 """Command-line driver: generation, training, solving, sweeps, selftest."""
 
 import hashlib
+import itertools
 import json
 import math
+import random
 import re
 import shutil
 import sys
@@ -65,6 +67,77 @@ def spy_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(search, "solve_iterative", spy)
     return rounds_used
+
+
+def reference_report(trajectories, shape, seed, scorer_desc, opts, k):
+    """Puzzle records and aggregate of a solve at ``opts`` capped at ``k`` rounds.
+
+    The CLI's earlier cut, which held every trajectory and re-scanned them per
+    cap; kept verbatim as the reference for the fold that replaced it.
+    """
+    records = []
+    for index, (hams, converged, degraded) in enumerate(trajectories):
+        used = min(k, len(hams))
+        records.append({"type": "puzzle", "index": index, "rounds_used": used,
+                        "converged": converged and k >= len(hams), "solved": hams[used - 1] == 0,
+                        "final_hamming": hams[used - 1], "binary_degraded": degraded})
+    final = np.array([r["final_hamming"] for r in records])
+    # Each round's solved share; a puzzle stays as its last round left it, so it ends at the exact rate.
+    run = max(r["rounds_used"] for r in records)
+    curve = [sum(hams[min(j, len(hams) - 1)] == 0 for hams, *_ in trajectories) / len(records)
+             for j in range(run)]
+    space = math.factorial(shape.n)
+    return records, {
+        "type": "aggregate",
+        "grid": str(shape),
+        "seed": seed,
+        "scorer": scorer_desc,
+        "radius": opts.radius,
+        "max_rounds": k,
+        "use_binary": opts.use_binary,
+        "n_puzzles": len(records),
+        "exact_rate": curve[-1],
+        "d_le_2_rate": float(np.mean(final <= 2)),
+        "mean_rounds": float(np.mean([r["rounds_used"] for r in records])),
+        "config_space_size": space,
+        "config_space_size_approx": float(space) if space <= sys.float_info.max else None,
+        "per_round_solved": curve + curve[-1:] * (k - run),
+    }
+
+
+def scripted_trajectories(count: int, seed: int) -> list:
+    """``(hams, converged, degraded)`` per puzzle: 1 to 20 rounds, often solved and then moved off again."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(count):
+        length = (1, 20)[index] if index < 2 else rng.randint(1, 20)
+        hams = [rng.choice((0, 0, 2, 3, 4)) for _ in range(length)]
+        out.append((hams, rng.random() < 0.5, rng.random() < 0.3))
+    return out
+
+
+def script_solves(monkeypatch, trajectories) -> None:
+    """Make the CLI's solves replay ``trajectories`` in turn, cut at the solve's round cap."""
+    calls = itertools.count()
+
+    def solve(provider, instance, opts):
+        hams, converged, degraded = trajectories[next(calls) % len(trajectories)]
+        cut = hams[:opts.max_rounds]
+        rounds = [search.RoundRecord(prediction=None, cost=None, hamming_to_truth=h) for h in cut]
+        return search.SolveTrace(rounds=rounds, converged=converged and len(hams) <= opts.max_rounds,
+                                 solved=cut[-1] == 0, binary_degraded=degraded)
+
+    monkeypatch.setattr(search, "solve_iterative", solve)
+
+
+def peak_bytes(argv) -> int:
+    """tracemalloc's peak over one in-process ``main(argv)``, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -507,6 +580,89 @@ class TestBench:
         code = main(["bench", "--grid", "3x3", "--noise", "", "--report",
                      str(tmp_path / "b.jsonl")])
         assert code == EXIT_USAGE
+
+
+class TestFold:
+    """Every report the fold writes equals the reference cut of the same trajectories, floats included."""
+
+    SHAPE = GridShape((2, 2))
+
+    def test_trajectories_cover_the_cases(self):
+        trajectories = scripted_trajectories(40, 40)
+        lengths = {len(hams) for hams, *_ in trajectories}
+        assert {1, 20} <= lengths
+        assert any(0 in hams[:-1] and hams[-1] != 0 for hams, *_ in trajectories)  # solved, then moved off
+
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    @pytest.mark.parametrize("rounds", ["7,1,25,3,20", "3,1", "20,20,1"])
+    def test_bench_aggregates(self, count, rounds, tmp_path, monkeypatch):
+        trajectories = scripted_trajectories(count, count)
+        script_solves(monkeypatch, trajectories)
+        report = tmp_path / "b.jsonl"
+        assert main(["bench", "--grid", "2x2", "--count", str(count), "--noise", "0.5", "--radii", "3",
+                     "--binary", "on", "--rounds", rounds, "--seed", "4", "--report", str(report)]) == EXIT_OK
+        caps = [int(k) for k in rounds.split(",")]
+        largest = max(caps)
+        solved = [(hams[:largest], converged and len(hams) <= largest, degraded)
+                  for hams, converged, degraded in trajectories]
+        opts = SolverOptions(max_rounds=largest)
+        want = [reference_report(solved, self.SHAPE, 4, "oracle:eps=0.5", opts, k)[1] for k in caps]
+        assert cli.read_report(report) == want
+        assert report.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in want)
+
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    @pytest.mark.parametrize("cap", [1, 3, 20, 25])
+    def test_solve_records_and_aggregate(self, count, cap, tmp_path, monkeypatch):
+        trajectories = scripted_trajectories(count, count)
+        script_solves(monkeypatch, trajectories)
+        report = tmp_path / "r.jsonl"
+        assert main(["solve", "--grid", "2x2", "--oracle", "0.5", "--count", str(count),
+                     "--max-rounds", str(cap), "--seed", "4", "--report", str(report)]) == EXIT_OK
+        solved = [(hams[:cap], converged and len(hams) <= cap, degraded)
+                  for hams, converged, degraded in trajectories]
+        opts = SolverOptions(max_rounds=cap)
+        records, agg = reference_report(solved, self.SHAPE, 4, "oracle:eps=0.5", opts, cap)
+        assert cli.read_report(report) == records + [agg]
+        assert report.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records + [agg])
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--grid", "2x2", "--oracle", "0.5"],
+        ["bench", "--grid", "2x2", "--noise", "0.5", "--binary", "off", "--rounds", "1,5,20"],
+    ])
+    def test_peak_does_not_grow_with_count(self, argv, tmp_path):
+        # Holding every trajectory and record until the end took about 470
+        # bytes a puzzle: about 200 KB more at 500 puzzles than at 50.
+        run = argv + ["--report", str(tmp_path / "r.jsonl"), "--count"]
+        peak_bytes(run + ["50"])  # warms the caches a first run fills
+        assert peak_bytes(run + ["500"]) <= peak_bytes(run + ["50"]) + 48_000
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("exc", [OSError("disk gone"), KeyboardInterrupt()])
+    def test_failed_run_leaves_no_report(self, command, exc, tmp_path, monkeypatch, capsys):
+        solve_iterative = search.solve_iterative
+
+        def fail_third(*args):
+            if next(calls) == 3:
+                raise exc
+            return solve_iterative(*args)
+
+        monkeypatch.setattr(search, "solve_iterative", fail_third)
+        argv = {"solve": ["solve", "--grid", "2x2", "--oracle", "0.5", "--count", "5"],
+                "bench": ["bench", "--grid", "2x2", "--count", "5", "--noise", "0.5",
+                          "--rounds", "1,5"]}[command]
+        report = tmp_path / "r.jsonl"
+        for earlier in (None, b"an earlier report\n"):
+            calls = itertools.count(1)
+            if earlier is not None:
+                report.write_bytes(earlier)
+            if isinstance(exc, OSError):
+                assert main(argv + ["--report", str(report)]) == EXIT_DATA
+                assert capsys.readouterr().err == "error: disk gone\n"
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    main(argv + ["--report", str(report)])
+            assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["r.jsonl"])
+            assert earlier is None or report.read_bytes() == earlier
 
 
 class TestMemoryBudget:

@@ -120,6 +120,12 @@ class TestBallKernel:
         search._ball_index(4, 2)
         assert search._ball_index.cache_info().currsize == 1
 
+    def test_one_ball_table_is_cached_at_a_time(self):
+        # A --radii sweep must not keep older radii's tables, which round_bytes does not count.
+        search._ball_index(5, 2)
+        search._ball_index(5, 3)
+        assert grid._ball_table.cache_info().currsize == 1
+
     def test_3x3_plan_gathers_without_a_cast(self):
         # 205 x 72 intp entries (118 KB) fit one gather chunk, so numpy
         # gathers through them with no per-round cast to intp.
