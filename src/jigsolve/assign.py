@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -41,9 +42,19 @@ class AssignmentResult:
     cost: float
 
 
+@lru_cache(maxsize=64)
+def _row_starts(n: int) -> np.ndarray:
+    # Flat index of each row's first entry in an (n, n) table, read-only.
+    starts = np.arange(n) * n
+    starts.setflags(write=False)
+    return starts
+
+
 def _solve(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    rows, cols = linear_sum_assignment(matrix)
-    return cols, float(matrix[rows, cols].sum())
+    # A square table: the solver's rows are 0..n-1, so the optimum's entries
+    # are one take on the raveled table, summed in row order.
+    _, cols = linear_sum_assignment(matrix)
+    return cols, float(np.add.reduce(matrix.take(cols + _row_starts(len(cols)))))
 
 
 def _reduced_moves(m: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,12 +123,12 @@ def _certified(m: np.ndarray, sigma: np.ndarray, tol: float) -> bool:
     # solver error, leaves sigma uncertified; the raised copy is freed on
     # return, before any tie pass runs.
     n = len(sigma)
-    top = float(max(m.max(), -m.min()))
+    top = float(max(np.maximum.reduce(m, axis=None), -np.minimum.reduce(m, axis=None)))
     delta = tol + 1e-9 * n * (1.0 + top)
     if not math.isfinite(top + delta):
         return False
     bumped = m.copy()
-    bumped.ravel()[sigma + np.arange(0, n * n, n)] += delta
+    bumped.ravel()[sigma + _row_starts(n)] += delta
     try:
         _, cols = linear_sum_assignment(bumped)
     except ValueError:

@@ -129,11 +129,11 @@ def cmd_gen(args) -> int:
     )
     _check_count(args.count)
     _check_gen(shape, opts)
-    # The synthetic source checks the kind, before the first instance is drawn.
-    kind = args.kind.removeprefix("synth-")
-    instances = _options(puzzlegen.generate_corpus, kind, shape, args.count, args.seed, opts)
+    # The kind is checked before ``--out`` is made; each instance is drawn, written and dropped in turn.
+    instances = _options(puzzlegen.iter_corpus, args.kind.removeprefix("synth-"), shape, args.count,
+                         args.seed, opts)
     puzzlegen.save_corpus(args.out, instances)
-    print(f"wrote {len(instances)} instances to {args.out}", file=sys.stderr)
+    print(f"wrote {args.count} instances to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -403,8 +403,9 @@ def cmd_selftest(args) -> int:
         # The kernel reduces a whole puzzle's stack at once, and keeps numpy's
         # reduction order to do it: each row, and each tile described alone,
         # must have the bytes of the reference loop on that tile.
-        for spec, tile in (("3x3", (21, 19, 3)), ("2x2", (16, 16, 1)), ("2x2x2", (7, 9, 8, 2)),
-                           ("2x2x2", (4, 6, 8, 1))):
+        # (21, 19, 1): a one-channel 2D tile, whose map is the channel itself, pooled in uneven chunks.
+        for spec, tile in (("3x3", (21, 19, 3)), ("2x2", (16, 16, 1)), ("2x2", (21, 19, 1)),
+                           ("2x2x2", (7, 9, 8, 2)), ("2x2x2", (4, 6, 8, 1))):
             shape = GridShape.parse(spec)
             for dtype in (np.float32, np.float64):
                 patches = (rng.standard_normal((shape.n,) + tile) * 10.0 ** rng.uniform(-5, 5)).astype(dtype)

@@ -27,7 +27,11 @@ ROW_SUM_TOL = 1e-9
 
 def neg_log(p: np.ndarray) -> np.ndarray:
     """Elementwise ``-ln max(p, PROB_FLOOR)``, in float64."""
-    return -np.log(np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR))
+    out = np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR)
+    if out.ndim == 0:  # a scalar: the ufuncs return numpy scalars, which take no ``out``
+        return -np.log(out)
+    # The clamp is a fresh array, so the log and the negation run in it.
+    return np.negative(np.log(out, out=out), out=out)
 
 
 def row_softmax(logits) -> np.ndarray:
@@ -35,11 +39,12 @@ def row_softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("expected a 2D logit array")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    _extremes(z, "logits")
+    # The subtraction makes a fresh array, so ``logits`` is never written.
+    e = np.subtract(z, np.maximum.reduce(z, axis=1, keepdims=True))
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 def softmax9(logits) -> np.ndarray:
@@ -52,11 +57,19 @@ def softmax9(logits) -> np.ndarray:
 
 def _extremes(arr: np.ndarray, name: str):
     """``arr``'s min and max (0, 0 when empty); raise unless both are finite."""
-    flat = arr.ravel()
-    lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
+    if not arr.size:
+        return 0.0, 0.0
+    lo, hi = np.minimum.reduce(arr, axis=None), np.maximum.reduce(arr, axis=None)
     if not -np.inf < lo <= hi < np.inf:  # min and max propagate NaN
         raise ValueError(f"{name} must be finite")
     return lo, hi
+
+
+def _row_sum_gap(arr: np.ndarray):
+    """The largest ``|row sum - 1|`` of a 2D array (0 when it has no rows)."""
+    dev = np.add.reduce(arr, axis=1)
+    dev -= 1.0
+    return np.maximum.reduce(np.abs(dev, out=dev), initial=0.0)
 
 
 def validate_unary(U, n: int | None = None) -> np.ndarray:
@@ -69,7 +82,7 @@ def validate_unary(U, n: int | None = None) -> np.ndarray:
     lo, hi = _extremes(arr, "unary matrix")
     if lo < 0 or hi > 1 + ROW_SUM_TOL:
         raise ValueError("unary entries must lie in [0, 1]")
-    if not np.abs(arr.sum(axis=1) - 1.0).max(initial=0.0) <= ROW_SUM_TOL:
+    if not _row_sum_gap(arr) <= ROW_SUM_TOL:
         raise ValueError("every unary row must sum to 1")
     return arr
 
@@ -81,8 +94,7 @@ def validate_pairs(block, n: int) -> np.ndarray:
         raise ValueError(f"pair block must have shape ({n * (n - 1)}, 9), got {arr.shape}")
     lo, _ = _extremes(arr, "binary table")
     # Each 9-vector is summed as one contiguous run, whatever the block's layout.
-    dev = np.abs(np.ascontiguousarray(arr).sum(axis=1) - 1.0)
-    if lo < 0 or not dev.max(initial=0.0) <= ROW_SUM_TOL:
+    if lo < 0 or not _row_sum_gap(np.ascontiguousarray(arr)) <= ROW_SUM_TOL:
         raise ValueError("every off-diagonal 9-vector must be a distribution")
     return arr
 

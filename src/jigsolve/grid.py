@@ -255,7 +255,10 @@ def _ball_table(n: int, radius: int) -> np.ndarray:
             [p for p in itertools.permutations(range(k)) if all(p[i] != i for i in range(k))],
             dtype=np.intp,
         )
-        subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+        # One subset at a time: a list of them would leave up to 2000 freed
+        # tuples on the interpreter's free list, which no round count includes.
+        subsets = np.fromiter(itertools.combinations(range(n), k), dtype=np.dtype((np.intp, k)),
+                              count=math.comb(n, k))
         block = np.tile(np.arange(n, dtype=np.intp), (len(subsets), len(ders), 1))
         rows = np.arange(len(subsets))[:, None, None]
         cols = np.arange(len(ders))[None, :, None]

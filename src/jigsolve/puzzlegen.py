@@ -26,7 +26,7 @@ import re
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -356,9 +356,13 @@ def _blob_field(rng: np.random.Generator, size: int, dims: int) -> np.ndarray:
     return np.clip(val, 0.0, 1.0)
 
 
-def _synth_field(kind: str, size: int, seed: int, dims: int) -> np.ndarray:
+def _check_kind(kind: str) -> None:
     if kind not in SYNTH_KINDS:
         raise ValueError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
+
+
+def _synth_field(kind: str, size: int, seed: int, dims: int) -> np.ndarray:
+    _check_kind(kind)
     if size < MIN_SYNTH_SIZE:
         raise ValueError(f"size must be >= {MIN_SYNTH_SIZE}")
     if size > MAX_SYNTH_SIZE:
@@ -507,13 +511,30 @@ def generate_corpus(
     opts: GenOptions = GenOptions(),
 ) -> list[PuzzleInstance]:
     """Deterministic synthetic corpus; instance i uses the stream (seed, i)."""
+    return list(iter_corpus(kind, shape, count, seed, opts))
+
+
+def iter_corpus(
+    kind: str,
+    shape: GridShape,
+    count: int,
+    seed: int,
+    opts: GenOptions = GenOptions(),
+) -> Iterator[PuzzleInstance]:
+    """``generate_corpus``'s instances, each drawn when it is asked for.
+
+    The kind and the geometry are checked at the call, before any is drawn.
+    """
+    _check_kind(kind)
     check_geometry(shape.extents, opts)
-    instances = []
-    for i in range(count):
-        src = {"kind": kind, "size": synth_size(shape, opts), "seed": seed * 1_000_003 + i}
-        img = _source(src, len(shape.extents))
-        instances.append(_make(img, shape.extents, np.random.default_rng([seed, i]), opts, src))
-    return instances
+
+    def draw():
+        for i in range(count):
+            src = {"kind": kind, "size": synth_size(shape, opts), "seed": seed * 1_000_003 + i}
+            img = _source(src, len(shape.extents))
+            yield _make(img, shape.extents, np.random.default_rng([seed, i]), opts, src)
+
+    return draw()
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +599,8 @@ def _parse_manifest(blob: bytes, path: str) -> PuzzleMeta:
         raise FormatError(f"{path}: bad manifest: {exc!r}") from None
 
 
-def save_corpus(root, instances: list[PuzzleInstance]) -> None:
+def save_corpus(root, instances: Iterable[PuzzleInstance]) -> None:
+    """Write each instance in turn; an iterator's instances are held one at a time."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     for i, inst in enumerate(instances):

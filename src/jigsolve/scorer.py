@@ -96,19 +96,29 @@ def _descriptors(stack) -> np.ndarray:
     strips = [arr[(slice(None),) * ax + (edge,)] for ax in reversed(spatial) for edge in edges]
     # Block-average the channel-mean map down to the pooling grid, one
     # spatial axis at a time, in array_split's chunks: r of q + 1, then cells - r of q.
+    # One channel is its own mean, as x / 1 == x; the mean's sum would turn
+    # -0.0 into 0.0, and the pooling sums that follow do that either way.
     cells = POOL_CELLS[len(spatial)]
-    pooled = arr.mean(axis=-1)
+    channels = arr.shape[-1]
+    pooled = arr[..., 0] if channels == 1 else _mean(arr, -1, channels)
     for ax in spatial:
         q, r = divmod(pooled.shape[ax], cells)
         runs = ((0, r, q + 1), (r * (q + 1), cells - r, q))  # (first pixel, chunks, width): one mean each
         pooled = np.concatenate([
-            pooled[(slice(None),) * ax + (slice(start, start + count * width),)]
-            .reshape(pooled.shape[:ax] + (count, width) + pooled.shape[ax + 1:]).mean(axis=ax + 1)
+            _mean(pooled[(slice(None),) * ax + (slice(start, start + count * width),)]
+                  .reshape(pooled.shape[:ax] + (count, width) + pooled.shape[ax + 1:]), ax + 1, width)
             for start, count, width in runs], axis=ax)
     parts = [mean.reshape(k, arr.shape[-1]), np.sqrt(var, out=var)]
-    parts += [st.mean(axis=spatial) for st in strips]
+    parts += [_mean(st, spatial, math.prod(st.shape[1:-1])) for st in strips]
     parts.append(pooled.reshape(k, cells ** len(spatial)))
     return np.concatenate(parts, axis=1)
+
+
+def _mean(arr: np.ndarray, axis, count: int) -> np.ndarray:
+    # ndarray.mean's own steps for a float64 array and the ``count`` values each result reduces.
+    total = np.add.reduce(arr, axis=axis)
+    total /= count
+    return total
 
 
 def extract_features(patch: np.ndarray) -> np.ndarray:
@@ -193,10 +203,12 @@ class OracleScorer:
             if self.rng is None or amp == 0.0:
                 return base
             z = np.log(np.maximum(base, 1e-300, out=base), out=base)
-            z += amp * self.rng.standard_normal(base.shape)
-            z -= z.max(axis=-1, keepdims=True)
+            noise = self.rng.standard_normal(base.shape)
+            noise *= amp
+            z += noise
+            z -= np.maximum.reduce(z, axis=-1, keepdims=True)
             np.exp(z, out=z)
-            z /= z.sum(axis=-1, keepdims=True)
+            z /= np.add.reduce(z, axis=-1, keepdims=True)
             return z
 
         U = np.full((n, n), eps / n)
@@ -381,17 +393,22 @@ class TrainResult:
     epoch_losses: list[float]
 
 
-def _summed(passes: Iterable[tuple[float, Params]], losses: list[float]) -> Params:
-    # The passes' gradients summed in order, into the first pass's arrays;
-    # each pass's loss is appended to ``losses``.
-    passes = iter(passes)
-    loss, total = next(passes)
-    losses.append(loss)
+def _summed(passes: Iterable[tuple[float, Params]], record=None) -> tuple[float, int, Params]:
+    # The passes' losses summed left to right from 0, as ``sum`` adds them, and
+    # counted, and their gradients summed in order, into the first pass's
+    # arrays.  ``record``, if given, takes each pass's loss.
+    loss_sum, count, total = 0, 0, None
     for loss, grads in passes:
-        losses.append(loss)
-        for acc, g in zip(total, grads):
-            acc += g
-    return total
+        loss_sum += loss
+        count += 1
+        if record is not None:
+            record(loss)
+        if total is None:
+            total = grads
+        else:
+            for acc, g in zip(total, grads):
+                acc += g
+    return loss_sum, count, total
 
 
 def _sample_pass(
@@ -403,11 +420,10 @@ def _sample_pass(
 ) -> tuple[float, Params]:
     # One sample's round-averaged loss/grad under iterative reorganization:
     # the solver's own loop, with the loss of each arrangement it scores.
-    losses: list[float] = []
     passes = (_loss_and_grad(model, F, t, shape, U, block)
               for F, t, U, block, _, _ in search.rounds(model, feats, truth, shape, opts))
-    grads = _summed(passes, losses)
-    return sum(losses) / len(losses), grads.scaled(1.0 / len(losses))
+    loss_sum, count, grads = _summed(passes)
+    return loss_sum / count, grads.scaled(1.0 / count)
 
 
 def train_sgd(
@@ -434,8 +450,8 @@ def train_sgd(
         losses = []
         for lo in range(0, len(order), opts.batch_size):
             batch = order[lo : lo + opts.batch_size]
-            grads = _summed((_sample_pass(model, all_feats[i], corpus[i].truth, shape, replay_opts)
-                             for i in batch), losses)
+            _, _, grads = _summed((_sample_pass(model, all_feats[i], corpus[i].truth, shape, replay_opts)
+                                   for i in batch), losses.append)
             for param, step in zip(model.params, grads.scaled(opts.learning_rate / len(batch))):
                 param -= step
         epoch_losses.append(float(np.mean(losses)))

@@ -140,18 +140,20 @@ def _index_dtype(rows: int, n: int) -> np.dtype:
 
 
 @lru_cache(maxsize=1)
-def _ball_index(n: int, radius: int) -> _Ball:
-    # One plan at a time, as its pair index grows as n**4.  Building holds no
-    # second copy of the pair index.  Its Fortran order makes numpy sum each
-    # row of a gather through it left to right, in pair order.
-    table = _ball_table(n, radius)
+def _ball_index(n: int, radius: int, cap: Optional[int] = None) -> _Ball:
+    # The plan a refinement at (radius, cap) reads: the ball of _ball_radius,
+    # cut to the cap.  One plan at a time, as its pair index grows as n**4.
+    # Building holds no second copy of the pair index.  Its Fortran order
+    # makes numpy sum each row of a gather through it left to right, in pair
+    # order.
+    table = _ball_table(n, _ball_radius(n, radius, cap))
     dtype = _index_dtype(len(table), n)
     pairs = _pair_index(table, dtype)
     unary = np.empty(table.shape, dtype=dtype)
     np.add(table, np.arange(n) * n, out=unary, casting="same_kind")
     for arr in (unary, pairs):
         arr.setflags(write=False)
-    return _Ball(table, unary, pairs)
+    return _Ball(table, unary, pairs).head(cap)
 
 
 def _batch_costs(logu, logv, shape: GridShape, center, ball: _Ball) -> tuple[np.ndarray, np.ndarray]:
@@ -162,24 +164,24 @@ def _batch_costs(logu, logv, shape: GridShape, center, ball: _Ball) -> tuple[np.
     ID ``center[j]``), so row ``i`` gathers exactly the floats of candidate ``i``, in pair
     order, without building it.  All rows are summed the same way, so they rank
     consistently; a total may differ from the scalar ``total_cost`` in the last bits.
-    Chunks gather about ``_GATHER_BYTES``.
+    A chunk's gather and the cost rows together hold about ``_GATHER_BYTES``.
     """
-    unary = logu.take(center, axis=1).take(ball.unary).sum(axis=1)
-    binary = np.zeros(len(ball.table))
-    if logv is not None:
-        n = shape.n
-        rel = relation_table(shape).take(center, axis=0).take(center, axis=1)
-        # Entry (k, a*n + b): pair k's cost for the IDs center[a], center[b].
-        pc_flat = logv.take(rel.ravel(), axis=1).ravel()
-        # np.take would return each chunk C-ordered, and numpy sums a C row
-        # pairwise; the fancy gather keeps the index's Fortran order.  A chunk
-        # of one row would be summed pairwise too, so no chunk holds a single
-        # row unless the whole set is one row.
-        flat = ball.pairs
-        step = max(2, _GATHER_BYTES // (8 * max(1, flat.shape[1])))
-        starts = range(0, max(1, len(flat) - 1), step)
-        for lo, hi in zip(starts, [*starts[1:], len(flat)]):
-            binary[lo:hi] = pc_flat[flat[lo:hi]].sum(axis=1)
+    unary = np.add.reduce(logu.take(center, axis=1).take(ball.unary), axis=1)
+    if logv is None:
+        return unary, np.zeros(len(ball.table))
+    rel = relation_table(shape).take(center, axis=0).take(center, axis=1)
+    # Entry (k, a*n + b): pair k's cost for the IDs center[a], center[b].
+    pc_flat = logv.take(rel.ravel(), axis=1).ravel()
+    # np.take would return each chunk C-ordered, and numpy sums a C row
+    # pairwise; the fancy gather keeps the index's Fortran order.  A chunk
+    # of one row would be summed pairwise too, so no chunk holds a single
+    # row unless the whole set is one row.
+    flat = ball.pairs
+    binary = np.empty(len(flat))
+    step = max(2, (_GATHER_BYTES - 16 * len(flat)) // (8 * max(1, flat.shape[1])))
+    starts = range(0, max(1, len(flat) - 1), step)
+    for lo, hi in zip(starts, [*starts[1:], len(flat)]):
+        np.add.reduce(pc_flat[flat[lo:hi]], axis=1, out=binary[lo:hi])
     return unary, binary
 
 
@@ -187,11 +189,11 @@ def _select(table: np.ndarray, totals: np.ndarray, center: np.ndarray) -> int:
     # Tie key: total cost, then Hamming distance to the center (the slots
     # the table row moves), then lexicographic order of the candidate.  Exact
     # float equality is the tie test; true ties give bit-identical sums.
-    best = np.flatnonzero(totals == totals.min())
+    best = (totals == np.minimum.reduce(totals)).nonzero()[0]
     if len(best) == 1:
         return int(best[0])
-    moved = (table[best] != np.arange(table.shape[1])).sum(axis=1)
-    best = best[moved == moved.min()]
+    moved = np.add.reduce(table[best] != np.arange(table.shape[1]), axis=1)
+    best = best[moved == np.minimum.reduce(moved)]
     return int(min(best, key=lambda row: center[table[row]].tolist()))
 
 
@@ -211,7 +213,8 @@ def round_bytes(shape: GridShape, opts: SolverOptions) -> int:
     tie pass's boolean (n, n) mask counts once, and its other arrays as
     ``_SEED_SLACK`` and 256 bytes a slot.  With pair terms the ball plan a
     refinement builds, the relabelled V and one chunk of gathered pair costs count
-    once.
+    once; the chunk shares its ``_GATHER_BYTES`` with the ball's per-row unary and
+    binary costs.
     """
     n = shape.n
     total = 3 * 8 * n * n * (1 if shape.is_3d else 1 + NUM_REL_CLASSES) + n * n + _SEED_SLACK + 256 * n
@@ -225,8 +228,7 @@ def round_bytes(shape: GridShape, opts: SolverOptions) -> int:
 
 def _refine(logu, logv, center, shape: GridShape, opts: SolverOptions):
     # Best of the ball around ``center`` at ``opts`` (radius and cap) and its cost parts.
-    cap = opts.candidate_cap
-    ball = _ball_index(shape.n, _ball_radius(shape.n, opts.radius, cap)).head(cap)
+    ball = _ball_index(shape.n, opts.radius, opts.candidate_cap)
     unary, binary = _batch_costs(logu, logv, shape, center, ball)
     row = _select(ball.table, unary + binary, center)
     return center[ball.table[row]], CostBreakdown(float(unary[row]), float(binary[row]))
@@ -288,7 +290,7 @@ def brute_force_argmin(U, V, shape: GridShape) -> np.ndarray:
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force refused for n > {BRUTE_FORCE_MAX_N}")
     logu, logv = _neg_logs(U, V, shape)
-    ball = _ball_index(n, n)
+    ball = _ball_index(n, n, None)  # the key a refinement at radius n uses, so the two share one plan
     totals = sum(_batch_costs(logu, logv, shape, np.arange(n), ball))
     best = np.flatnonzero(totals == totals.min())
     return np.array(min(ball.table[best].tolist()), dtype=np.int64)

@@ -169,6 +169,23 @@ class TestGen:
               "--out", str(other)] + GEN_FLAGS)
         assert dir_digest(other) == dir_digest(corpus_dir)
 
+    def test_peak_does_not_grow_with_count(self, tmp_path):
+        # Each instance is drawn, written and dropped in turn: holding them
+        # all would add 16 KB of patches per instance here (2.9 MB at 200).
+        def peak(count):
+            tracemalloc.start()
+            try:
+                code = main(["gen", "--grid", "2x2", "--count", str(count), "--cell", "40", "--crop", "32",
+                             "--out", str(tmp_path / str(count))])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                assert code == EXIT_OK
+
+        peak(1)  # first-call allocations
+        assert peak(200) <= peak(20) + (512 << 10)
+        assert len(list((tmp_path / "200").glob("inst_*"))) == 200
+
     def test_3d_geometry(self, tmp_path):
         root = tmp_path / "vol"
         code = main(["gen", "--grid", "3x3x3", "--volume-kind", "synth-mixed",

@@ -127,6 +127,22 @@ class TestDescriptorExactness:
             assert got.tobytes() == want.tobytes(), (key, stack.shape)
         assert len(kinds) == 2 * 3 * 2 * 3 and empty >= 80
 
+    @pytest.mark.parametrize("tile", [(21, 19), (5, 7), (4, 13), (9, 6), (7, 9, 5), (2, 3, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_channel_stacks_with_negative_zeros(self, tile, dtype):
+        # A one-channel map is pooled from the channel itself, not its mean;
+        # -0.0 is where the two could differ, and float64 views with negative
+        # or transposed strides reach the kernel uncopied.
+        rng = np.random.default_rng([80, *tile])
+        stack = (rng.standard_normal((5, *tile, 1)) * 10.0 ** rng.uniform(-5, 5)).astype(dtype)
+        stack[rng.random(stack.shape) < 0.3] = -0.0
+        stack[1] = -0.0
+        stack[2, ..., :2, :] = -0.0  # a whole pooling column in the first chunk
+        cases = [stack, stack[:, ::-1], stack[..., ::-1, :], np.swapaxes(stack, 1, 2)]
+        for case in cases:
+            got, want = scorer._descriptors(case), array_split_descriptors(case)
+            assert got.tobytes() == want.tobytes(), (case.shape, case.strides)
+
 
 class TestDescriptorKernel:
     """``scorer._descriptors`` over a stack against the per-tile reference, byte for byte."""
@@ -493,6 +509,25 @@ class TestTrainSgd:
         )
         assert len(result.epoch_losses) == 1
         assert math.isfinite(result.epoch_losses[0])
+
+    def test_sample_pass_averages_each_round_like_sum(self):
+        # A running loss total from 0 gives sum(list)'s bytes without the list.
+        model = LinearScorer.init_random(S2, feature_dim(FEATURE_RECIPE_2D, 1), np.random.default_rng(4), 0.5)
+        opts = SolverOptions(max_rounds=7)
+        for inst in self.corpus(6, seed=101):
+            feats = features_of(inst)
+            losses, grads = [], []
+            for F, t, U, block, _, _ in search.rounds(model, feats, inst.truth, S2, opts):
+                loss, g = scorer._loss_and_grad(model, F, t, S2, U, block)
+                losses.append(loss)
+                grads.append(g)
+            loss, summed = scorer._sample_pass(model, feats, inst.truth, S2, opts)
+            assert loss == sum(losses) / len(losses)
+            for k, arr in enumerate(summed):
+                want = grads[0][k].copy()
+                for g in grads[1:]:
+                    want += g[k]
+                assert (arr == want * (1.0 / len(losses))).all()
 
     def test_one_forward_pass_per_replay_round(self, monkeypatch):
         calls = {"softmax": 0, "predict": 0}

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jigsolve import assign, cost, grid, scorer, search
+from jigsolve import assign, cli, cost, grid, scorer, search
 from jigsolve.assign import unary_argmin
 from jigsolve.cost import neg_log, row_softmax, softmax9, total_cost, validate_binary, validate_unary
 from jigsolve.grid import (
@@ -120,6 +120,17 @@ class TestBallKernel:
         search._ball_index(4, 2)
         assert search._ball_index.cache_info().currsize == 1
 
+    def test_brute_force_shares_the_plan_of_a_full_refinement(self):
+        # Acceptance 02 alternates the two on S_9; a second key would rebuild
+        # the 362 880-row plan at every call.
+        shape = GridShape((2, 2))
+        U, V = random_tables(4, np.random.default_rng(54))
+        search._ball_index.cache_clear()
+        for _ in range(3):
+            predict(U, V, shape, SolverOptions(radius=4))
+            brute_force_argmin(U, V, shape)
+        assert search._ball_index.cache_info().misses == 1
+
     def test_one_ball_table_is_cached_at_a_time(self):
         # A --radii sweep must not keep older radii's tables, which round_bytes does not count.
         search._ball_index(5, 2)
@@ -184,6 +195,27 @@ class TestBallKernel:
         finally:
             tracemalloc.stop()
         assert abs(peak - search.round_bytes(shape, opts)) <= 0.1 * search.round_bytes(shape, opts)
+
+    @pytest.mark.parametrize("spec", ["5x5", "6x6"])
+    def test_an_admitted_round_stays_within_its_admission(self, spec):
+        # Admission as a bound: scoring plus a predict that builds its ball
+        # plan cold hold no more than _admit counts for a solve.
+        shape = GridShape.parse(spec)
+        opts = SolverOptions(radius=3)
+        held = cli.CURVE_BYTES * opts.max_rounds
+        cli._admit(shape, [opts], held, "the report's curve")
+        grid._ball_table.cache_clear()
+        search._ball_index.cache_clear()
+        rng = np.random.default_rng(53)
+        truth = random_permutation(shape.n, rng)
+        tracemalloc.start()
+        try:
+            U, block = OracleScorer(0.2, rng).score(truth, shape)
+            predict(U, block, shape, opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= search.round_bytes(shape, opts) + held
 
     def test_round_bytes_bounds_both_3d_seed_paths(self, monkeypatch):
         # One 8x8x8 round, scoring and predict: the certified seed holds U, -ln U
