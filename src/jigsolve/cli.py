@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assign, grid, puzzlegen, scorer, search
+from . import assign, cost, grid, puzzlegen, scorer, search
 from .grid import GridShape
 from .puzzlegen import FormatError, GenOptions, PuzzleInstance
 from .scorer import LinearScorer, OracleScorer, TrainOptions
@@ -144,7 +145,10 @@ def cmd_train(args) -> int:
     corpus = _load_corpus(args)
     _check_tiles(args.corpus, corpus)
     _admit(corpus[0].shape, [solver_opts], scorer.train_bytes(corpus[0]), "the model in training")
-    result = scorer.train_sgd(corpus, opts, solver_opts)
+    try:
+        result = scorer.train_sgd(corpus, opts, solver_opts)
+    except scorer.Diverged as exc:  # stopped at the first epoch (or the draw) that left float32's range
+        raise FormatError(f"{args.out}: {exc}; nothing written") from None
     scorer.save_model(result.model, args.out)
     log_lines = [
         f"epoch={e} mean_loss={loss:.6f} train_rounds={opts.train_rounds}"
@@ -404,7 +408,8 @@ def cmd_selftest(args) -> int:
         # reduction order to do it: each row, and each tile described alone,
         # must have the bytes of the reference loop on that tile.
         # (21, 19, 1): a one-channel 2D tile, whose map is the channel itself, pooled in uneven chunks.
-        for spec, tile in (("3x3", (21, 19, 3)), ("2x2", (16, 16, 1)), ("2x2", (21, 19, 1)),
+        # (64, 64, 1): the benchmark's tile, whose extents the grid divides, pooled in one run per axis.
+        for spec, tile in (("3x3", (21, 19, 3)), ("2x2", (16, 16, 1)), ("2x2", (21, 19, 1)), ("2x2", (64, 64, 1)),
                            ("2x2x2", (7, 9, 8, 2)), ("2x2x2", (4, 6, 8, 1))):
             shape = GridShape.parse(spec)
             for dtype in (np.float32, np.float64):
@@ -417,6 +422,53 @@ def cmd_selftest(args) -> int:
                     alone = scorer.extract_features(patch).tobytes()
                     assert alone == want, f"{spec} {tile}: tile {i} alone differs from the reference"
 
+    def edge_tables(n):
+        # Seeded unary tables and pair blocks, each clean and with one edit at the checks' edges.
+        for table in (cost.row_softmax(rng.standard_normal((n, n))),
+                      cost.row_softmax(rng.standard_normal((n * (n - 1), grid.NUM_REL_CLASSES)))):
+            unary = table.shape == (n, n)
+            yield unary, table
+            for i, j in itertools.product(range(min(len(table), 3)), range(table.shape[1])):
+                for bad in (math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e-300, 1.0 + 2e-9):
+                    edited = table.copy()
+                    edited[i, j] = bad
+                    yield unary, edited
+            if len(table) and table.shape[1] >= 3:
+                # the three non-finite values in one row; rows that sum to 1 with a negative entry
+                for row in ((math.nan, math.inf, -math.inf), (1.5, -0.5, 0.0), (1.0, -1e-300, 0.0)):
+                    edited = table.copy()
+                    edited[-1] = 0.0
+                    edited[-1, :3] = row
+                    yield unary, edited
+            for off in (0.9e-9, 1.1e-9, -0.9e-9, -1.1e-9):  # a row sum inside, then outside, the tolerance
+                edited = table.copy()
+                edited[-1:, -1] += off
+                yield unary, edited
+
+    def passes(fn, *args):
+        try:
+            fn(*args)
+        except ValueError:
+            return False
+        return True
+
+    def table_acceptance():
+        # The validators accept a table after one test (no NaN, no entry below
+        # 0, row sums within tolerance; it needs minimum.reduce to propagate
+        # NaN), and the full checks only word a refusal.  Both must agree with
+        # an entry-wise reading of the rules on every table.
+        for n in (1, 2, 3, 4, 9):
+            for unary, table in edge_tables(n):
+                rule = bool(np.isfinite(table).all() and (table >= 0).all()
+                            and (np.abs(np.add.reduce(table, axis=1) - 1.0) <= cost.ROW_SUM_TOL).all()
+                            and (not unary or (table <= 1 + cost.ROW_SUM_TOL).all()))
+                refusal, validate = ((cost._unary_refusal, cost.validate_unary) if unary
+                                     else (cost._pairs_refusal, cost.validate_pairs))
+                got = {"one test": cost._accepted(table), "full checks": passes(refusal, table),
+                       "validator": passes(validate, table, n)}
+                for name, ok in got.items():
+                    assert ok == rule, f"{name} {'accepts' if ok else 'refuses'} a {table.shape} table it must not"
+
     check("assignment optimality vs brute force (n<=5, tol 1e-12)",
           lambda: assignment_optimality(lambda n: rng.random((n, n))))
     check("tie rule on integer {0,1,2} matrices vs brute force (n<=5, exact)",
@@ -426,6 +478,8 @@ def cmd_selftest(args) -> int:
     check("perfect oracle solves scrambles (exact)", perfect_oracle)
     check("patch descriptor of a stack and of each tile vs the per-tile numpy loop (2D and 3D, same bytes)",
           descriptor_bytes)
+    check("table validators' one-test acceptance vs the full checks on seeded edge tables (exact)",
+          table_acceptance)
 
     failed = [c for c in checks if not c[1]]
     for name, ok, msg in checks:

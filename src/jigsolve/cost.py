@@ -9,6 +9,12 @@ That is the public format.  The solver works on V's pair block, its
 it; ``pair_table`` pads a block into V.  Plain numpy arrays; each solver entry
 checks them once with the validators below.
 
+A validator accepts a valid table after one test (``_accepted``): no NaN and no
+entry below 0 (one ``minimum.reduce``, which propagates NaN), and every row sum
+within ``ROW_SUM_TOL`` of 1.  That rules out +-inf, and for U any entry above
+``1 + ROW_SUM_TOL``.  The full checks, one rule at a time, run only on a table
+the test refuses, to word the refusal with the rule it breaks.
+
 Probabilities are clamped to ``PROB_FLOOR`` before the log so degenerate
 one-hot tables still give finite costs.
 """
@@ -72,6 +78,27 @@ def _row_sum_gap(arr: np.ndarray):
     return np.maximum.reduce(np.abs(dev, out=dev), initial=0.0)
 
 
+def _accepted(arr: np.ndarray) -> bool:
+    """The one acceptance test of a 2D table (see the module docstring): exactly the tables the full checks pass."""
+    return bool(np.minimum.reduce(arr, axis=None, initial=0.0) >= 0 and _row_sum_gap(arr) <= ROW_SUM_TOL)
+
+
+def _unary_refusal(arr: np.ndarray) -> None:
+    """Every check of a square unary table in turn; raise the first that fails."""
+    lo, hi = _extremes(arr, "unary matrix")
+    if lo < 0 or hi > 1 + ROW_SUM_TOL:
+        raise ValueError("unary entries must lie in [0, 1]")
+    if not _row_sum_gap(arr) <= ROW_SUM_TOL:
+        raise ValueError("every unary row must sum to 1")
+
+
+def _pairs_refusal(arr: np.ndarray) -> None:
+    """Every check of a C-ordered pair block in turn; raise the first that fails."""
+    lo, _ = _extremes(arr, "binary table")
+    if lo < 0 or not _row_sum_gap(arr) <= ROW_SUM_TOL:
+        raise ValueError("every off-diagonal 9-vector must be a distribution")
+
+
 def validate_unary(U, n: int | None = None) -> np.ndarray:
     """Check the row-stochastic unary-matrix invariants and return the array."""
     arr = np.asarray(U, dtype=np.float64)
@@ -79,11 +106,8 @@ def validate_unary(U, n: int | None = None) -> np.ndarray:
         raise ValueError(f"unary matrix must be square, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"unary matrix is {arr.shape[0]}x{arr.shape[0]}, expected n={n}")
-    lo, hi = _extremes(arr, "unary matrix")
-    if lo < 0 or hi > 1 + ROW_SUM_TOL:
-        raise ValueError("unary entries must lie in [0, 1]")
-    if not _row_sum_gap(arr) <= ROW_SUM_TOL:
-        raise ValueError("every unary row must sum to 1")
+    if not _accepted(arr):
+        _unary_refusal(arr)
     return arr
 
 
@@ -92,10 +116,10 @@ def validate_pairs(block, n: int) -> np.ndarray:
     arr = np.asarray(block, dtype=np.float64)
     if arr.shape != (n * (n - 1), NUM_REL_CLASSES):
         raise ValueError(f"pair block must have shape ({n * (n - 1)}, 9), got {arr.shape}")
-    lo, _ = _extremes(arr, "binary table")
     # Each 9-vector is summed as one contiguous run, whatever the block's layout.
-    if lo < 0 or not _row_sum_gap(np.ascontiguousarray(arr)) <= ROW_SUM_TOL:
-        raise ValueError("every off-diagonal 9-vector must be a distribution")
+    rows = np.ascontiguousarray(arr)
+    if not _accepted(rows):
+        _pairs_refusal(rows)
     return arr
 
 

@@ -188,9 +188,17 @@ def identity_configuration(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
 
 
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    # Read-only 0..n-1, built once per n for is_identity.
+    ident = np.arange(n)
+    ident.setflags(write=False)
+    return ident
+
+
 def is_identity(c) -> bool:
     arr = np.asarray(c)
-    return bool((arr == np.arange(arr.size)).all())
+    return bool((arr == _identity(arr.size)).all())
 
 
 def hamming(c1, c2) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
@@ -79,10 +80,12 @@ def _descriptors(stack) -> np.ndarray:
     # row i has the same bytes as a stack of tile i alone.  Those are numpy's
     # mean, std and array_split bytes on the tile, so every sum keeps their
     # order: one spatial add.reduce, and pooling one axis at a time, y first.
-    arr = np.asarray(stack, dtype=np.float64)
+    # A float32 stack is checked as stored: a float32 value is finite exactly when its float64 copy is.
+    arr = np.asarray(stack, dtype=None if getattr(stack, "dtype", None) == np.float32 else np.float64)
     check_tile(arr.shape[1:])
     if not np.isfinite(arr).all():
         raise ValueError("patch values must be finite")
+    arr = np.asarray(arr, dtype=np.float64)
     k, spatial, size = len(arr), tuple(range(1, arr.ndim - 1)), math.prod(arr.shape[1:-1])
     # np.std's steps on the mean's own sum: divide, subtract, square, sum, divide, sqrt.
     mean = np.add.reduce(arr, axis=spatial, keepdims=True)
@@ -96,6 +99,8 @@ def _descriptors(stack) -> np.ndarray:
     strips = [arr[(slice(None),) * ax + (edge,)] for ax in reversed(spatial) for edge in edges]
     # Block-average the channel-mean map down to the pooling grid, one
     # spatial axis at a time, in array_split's chunks: r of q + 1, then cells - r of q.
+    # An extent that the grid divides (r = 0) is one run, with no empty run to
+    # join; it is made C-ordered, as the join would, since the next axis's sums follow the layout.
     # One channel is its own mean, as x / 1 == x; the mean's sum would turn
     # -0.0 into 0.0, and the pooling sums that follow do that either way.
     cells = POOL_CELLS[len(spatial)]
@@ -103,11 +108,12 @@ def _descriptors(stack) -> np.ndarray:
     pooled = arr[..., 0] if channels == 1 else _mean(arr, -1, channels)
     for ax in spatial:
         q, r = divmod(pooled.shape[ax], cells)
-        runs = ((0, r, q + 1), (r * (q + 1), cells - r, q))  # (first pixel, chunks, width): one mean each
-        pooled = np.concatenate([
-            _mean(pooled[(slice(None),) * ax + (slice(start, start + count * width),)]
-                  .reshape(pooled.shape[:ax] + (count, width) + pooled.shape[ax + 1:]), ax + 1, width)
-            for start, count, width in runs], axis=ax)
+        # (first pixel, chunks, width) of each run
+        runs = ((0, r, q + 1), (r * (q + 1), cells - r, q)) if r else ((0, cells, q),)
+        means = [_mean(pooled[(slice(None),) * ax + (slice(start, start + count * width),)]
+                       .reshape(pooled.shape[:ax] + (count, width) + pooled.shape[ax + 1:]), ax + 1, width)
+                 for start, count, width in runs]
+        pooled = np.ascontiguousarray(means[0]) if r == 0 else np.concatenate(means, axis=ax)
     parts = [mean.reshape(k, arr.shape[-1]), np.sqrt(var, out=var)]
     parts += [_mean(st, spatial, math.prod(st.shape[1:-1])) for st in strips]
     parts.append(pooled.reshape(k, cells ** len(spatial)))
@@ -304,10 +310,20 @@ class LinearScorer:
         return U, row_softmax(X @ self.binary_w.T + self.binary_b)
 
 
-def _pair_concat(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = F.shape[0]
+@lru_cache(maxsize=32)
+def _pair_rows(n: int) -> np.ndarray:
+    # Read-only p[0], q[0], p[1], q[1], ...: one take by it lays out each pair's two rows side by side.
     p, q = ordered_pairs(n)
-    return p, q, np.concatenate([F[p], F[q]], axis=1)
+    index = np.stack([p, q], axis=1).ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _pair_concat(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Row k is F[p_k] followed by F[q_k].
+    n, d = F.shape
+    p, q = ordered_pairs(n)
+    return p, q, F.take(_pair_rows(n), axis=0).reshape(len(p), 2 * d)
 
 
 def linear_score(model: LinearScorer, F) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -387,6 +403,10 @@ class TrainOptions:
             raise ValueError("batch_size, epochs and train_rounds must be >= 1")
 
 
+class Diverged(ValueError):
+    """Training drove a parameter to a value that is not finite in float32, which JSW1 cannot hold."""
+
+
 @dataclass
 class TrainResult:
     model: LinearScorer
@@ -431,7 +451,11 @@ def train_sgd(
     opts: TrainOptions = TrainOptions(),
     solver_opts: Optional[SolverOptions] = None,
 ) -> TrainResult:
-    """Mini-batch SGD on the two-head cross-entropy with round averaging."""
+    """Mini-batch SGD on the two-head cross-entropy with round averaging.
+
+    Raises :class:`Diverged` as soon as the initial draw or an epoch leaves a
+    parameter that is not finite in float32, naming the array and the epoch.
+    """
     if not corpus:
         raise ValueError("training corpus is empty")
     shape = corpus[0].shape
@@ -443,9 +467,10 @@ def train_sgd(
     d = all_feats[0].shape[1]
     rng = np.random.default_rng(opts.seed)
     model = LinearScorer.init_random(shape, d, rng, scale=opts.weight_init_scale)
+    _check_float32(model.params, " at initialisation")
 
     epoch_losses = []
-    for _ in range(opts.epochs):
+    for epoch in range(1, opts.epochs + 1):
         order = rng.permutation(len(corpus))
         losses = []
         for lo in range(0, len(order), opts.batch_size):
@@ -455,6 +480,7 @@ def train_sgd(
             for param, step in zip(model.params, grads.scaled(opts.learning_rate / len(batch))):
                 param -= step
         epoch_losses.append(float(np.mean(losses)))
+        _check_float32(model.params, f" after epoch {epoch}")
     return TrainResult(model=model, epoch_losses=epoch_losses)
 
 
@@ -462,13 +488,22 @@ def train_sgd(
 # model file ("JSW1": little-endian, float32 payload)
 
 
+def _check_float32(arrays, when: str = "") -> None:
+    """Raise :class:`Diverged` naming the first of the four arrays with a value not finite in float32."""
+    with np.errstate(over="ignore"):  # a value past float32's range casts to inf
+        for name, arr in zip(Params._fields, arrays):
+            if not np.isfinite(arr.astype(np.float32, copy=False)).all():
+                raise Diverged(f"{name} has a value that is not finite in float32{when}")
+
+
 def save_model(model: LinearScorer, path) -> None:
     """Write ``model`` as JSW1, or nothing if a value is not finite in float32 (``load_model`` refuses it)."""
     with np.errstate(over="ignore"):
         payload = [np.ascontiguousarray(arr, dtype="<f4") for arr in model.params]
-    for name, arr in zip(Params._fields, payload):
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: {name} has a value that is not finite in float32; nothing written")
+    try:
+        _check_float32(payload)
+    except Diverged as exc:
+        raise FormatError(f"{path}: {exc}; nothing written") from None
     with open(path, "wb") as fh:
         fh.write(header_bytes(MODEL_MAGIC, MODEL_VERSION, model.shape.extents, (model.d, model.recipe)))
         for arr in payload:

@@ -177,9 +177,11 @@ def _batch_costs(logu, logv, shape: GridShape, center, ball: _Ball) -> tuple[np.
     # of one row would be summed pairwise too, so no chunk holds a single
     # row unless the whole set is one row.
     flat = ball.pairs
-    binary = np.empty(len(flat))
     step = max(2, (_GATHER_BYTES - 16 * len(flat)) // (8 * max(1, flat.shape[1])))
-    starts = range(0, max(1, len(flat) - 1), step)
+    if len(flat) <= step:  # one chunk: one gather and one reduce
+        return unary, np.add.reduce(pc_flat[flat], axis=1)
+    binary = np.empty(len(flat))
+    starts = range(0, len(flat) - 1, step)
     for lo, hi in zip(starts, [*starts[1:], len(flat)]):
         np.add.reduce(pc_flat[flat[lo:hi]], axis=1, out=binary[lo:hi])
     return unary, binary
@@ -317,7 +319,7 @@ def rounds(provider: ScoreProvider, rows, truth, shape: GridShape, opts: SolverO
         yield rows, truth, U, block, pred, cost
         if is_identity(pred):
             return
-        back = np.argsort(pred)
+        back = pred.argsort()
         rows, truth = rows[back], truth[back]
 
 

@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jigsolve import cli, scorer, search
+from jigsolve import cli, cost, scorer, search
 from jigsolve.cli import (
     EXIT_DATA,
     EXIT_OK,
+    EXIT_SELFTEST,
     EXIT_USAGE,
     MEMORY_BUDGET,
     build_parser,
@@ -719,6 +720,21 @@ class TestSelftest:
         assert "ok:" in first
         assert "FAIL" not in first
 
+    def test_reductions_that_skip_nan_fail_the_table_check(self, monkeypatch, capsys):
+        # The validators' one test needs minimum and maximum reductions that
+        # propagate NaN; a numpy whose reductions skip it must fail selftest.
+        class SkipsNaN:
+            minimum, maximum = np.fmin, np.fmax
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(cost, "np", SkipsNaN())
+        assert main(["selftest"]) == EXIT_SELFTEST
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "one-test acceptance" in failed[0] and "accepts" in failed[0]
+
 
 class TestHelp:
     def test_all_subcommands_have_help(self, capsys):
@@ -833,6 +849,23 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}: ") and "not finite in float32" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,when,epochs", [
+        (["--lr", "1e300", "--epochs", "3"], "after epoch 1", 1),
+        (["--init-scale", "1e300"], "at initialisation", 0),
+    ])
+    def test_divergence_stops_training_and_names_its_epoch(self, flags, when, epochs, corpus_dir, tmp_path,
+                                                           capsys, monkeypatch):
+        # Training stops at the first epoch (or the initial draw) that leaves
+        # a parameter past float32's range, and says which.
+        passes = []
+        sample_pass = scorer._sample_pass
+        monkeypatch.setattr(scorer, "_sample_pass", lambda *args: passes.append(1) or sample_pass(*args))
+        out = tmp_path / "m.jsw1"
+        assert main(["train", "--corpus", str(corpus_dir), "--out", str(out)] + flags) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: {out}: unary_w has a value that is not finite in float32 "
+                                           f"{when}; nothing written\n")
+        assert len(passes) == 16 * epochs and not out.exists()
 
     @staticmethod
     def solve_edited(corpus, inst, pattern, repl, tmp_path, capsys):

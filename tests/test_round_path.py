@@ -2,10 +2,13 @@
 
 Each ``*_reference`` below is a test-only copy of a body as it was before it
 called ``np.add.reduce``, ``np.maximum.reduce`` or ``np.minimum.reduce``
-directly and ran its element-wise passes in place.  Over seeded edge tables
-(-0.0, subnormal entries, entries clamped at 1e-300, uniform rows, and NaN or
-+-inf in each position) the bodies in use must return the same bytes, or raise
-the same ``ValueError`` with the same message.
+directly and ran its element-wise passes in place, before the validators
+accepted a table after one test, and before ``_batch_costs`` summed a ball that
+fits one gather chunk without the chunk loop.  Over seeded edge tables (-0.0,
+subnormal entries, entries clamped at 1e-300, uniform rows, row sums one ulp
+either side of the tolerance, and NaN or +-inf in each position and together in
+one row) the bodies in use must return the same bytes, or raise the same
+``ValueError`` with the same message.
 """
 
 import math
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from jigsolve import assign
+from jigsolve import assign, search
 from jigsolve.cost import PROB_FLOOR, ROW_SUM_TOL, neg_log, row_softmax, validate_pairs, validate_unary
 from jigsolve.grid import NUM_REL_CLASSES, GridShape, ordered_pairs, random_permutation, relation_table
 from jigsolve.scorer import OracleScorer
@@ -69,6 +72,23 @@ def validate_pairs_reference(block, n):
     if lo < 0 or not dev.max(initial=0.0) <= ROW_SUM_TOL:
         raise ValueError("every off-diagonal 9-vector must be a distribution")
     return arr
+
+
+def batch_costs_reference(logu, logv, shape, center, ball, gather_bytes=None):
+    """``search._batch_costs`` with its chunk loop for every ball, chunks of about ``gather_bytes``."""
+    gather_bytes = search._GATHER_BYTES if gather_bytes is None else gather_bytes
+    unary = np.add.reduce(logu.take(center, axis=1).take(ball.unary), axis=1)
+    if logv is None:
+        return unary, np.zeros(len(ball.table))
+    rel = relation_table(shape).take(center, axis=0).take(center, axis=1)
+    pc_flat = logv.take(rel.ravel(), axis=1).ravel()
+    flat = ball.pairs
+    binary = np.empty(len(flat))
+    step = max(2, (gather_bytes - 16 * len(flat)) // (8 * max(1, flat.shape[1])))
+    starts = range(0, max(1, len(flat) - 1), step)
+    for lo, hi in zip(starts, [*starts[1:], len(flat)]):
+        np.add.reduce(pc_flat[flat[lo:hi]], axis=1, out=binary[lo:hi])
+    return unary, binary
 
 
 def solve_reference(matrix):
@@ -191,6 +211,42 @@ def edge_probabilities():
     yield "numpy scalar", np.float64(1e-300)
 
 
+def sum_edges():
+    """``(label, s)``: row sums one ulp inside, then one ulp outside, 1 + ROW_SUM_TOL and 1 - ROW_SUM_TOL."""
+    for side in (1.0, -1.0):
+        s = 1.0 + side * ROW_SUM_TOL
+        while abs(s - 1.0) > ROW_SUM_TOL:
+            s = np.nextafter(s, 1.0)
+        while abs(np.nextafter(s, side * np.inf) - 1.0) <= ROW_SUM_TOL:
+            s = np.nextafter(s, side * np.inf)
+        yield f"sum 1{side * ROW_SUM_TOL:+g} inside", s
+        yield f"sum 1{side * ROW_SUM_TOL:+g} outside", np.nextafter(s, side * np.inf)
+
+
+def summing_to(row, total):
+    """``row`` (powers of two, summing to a power of two) with its last entry set so it sums to ``total`` exactly."""
+    row = np.array(row, dtype=np.float64)
+    row[-1] = total - np.add.reduce(row[:-1])
+    assert np.add.reduce(row) == total
+    return row
+
+
+def bads_in_one_row(table):
+    """A copy of ``table`` with NaN, +inf and -inf together in its last row."""
+    edited = table.copy()
+    edited[-1, :3] = BADS
+    return edited
+
+
+def negative_in_a_whole_row(table):
+    """``(label, copy)`` whose last row sums to 1 exactly but holds a negative entry."""
+    for row in ((1.5, -0.5), (1.0, -1e-300), (1.0, -SUBNORMAL)):
+        edited = table.copy()
+        edited[-1] = -0.0
+        edited[-1, :2] = row
+        yield f"row {row}", edited
+
+
 def unary_tables():
     """Seeded unary tables at the validator's edges: ``(label, U, n)``."""
     rng = np.random.default_rng(92)
@@ -210,6 +266,16 @@ def unary_tables():
         if n <= 4:
             for label, edited in in_each_position(U):
                 yield label, edited, n
+        if n >= 3:
+            yield f"nan, inf and -inf in one row {n}", bads_in_one_row(U), n
+        if n >= 2:
+            for label, edited in negative_in_a_whole_row(U):
+                yield f"{label} {n}", edited, n
+        if n in (1, 2, 4):
+            for label, total in sum_edges():
+                edited = np.full((n, n), 1.0 / n)
+                edited[0] = summing_to(edited[0], total)
+                yield f"{label} {n}", edited, n
         for bad in (-1e-300, -0.5, 1.0 + 2e-9, 2.0):
             edited = U.copy()
             edited[n - 1, 0] = bad
@@ -242,6 +308,13 @@ def pair_blocks():
         if n == 2:
             for label, edited in in_each_position(block):
                 yield label, edited, n
+        yield f"nan, inf and -inf in one row {n}", bads_in_one_row(block), n
+        for label, edited in negative_in_a_whole_row(block):
+            yield f"{label} {n}", edited, n
+        for label, total in sum_edges():
+            edited = block.copy()
+            edited[-1] = summing_to([1 / 16] * 8 + [0.5], total)
+            yield f"{label} {n}", edited, n
         for bad in (-1e-300, -0.5, 1.5):
             edited = block.copy()
             edited[0, 8] = bad
@@ -253,6 +326,7 @@ def pair_blocks():
                 yield f"{sign * off:g} {n}", edited, n
     yield "wrong shape", np.full((9, 9), 1 / 9), 3
     yield "empty", np.zeros((0, 9)), 1
+    yield "empty, -0.0 and Fortran", np.asfortranarray(np.full((0, 9), -0.0)), 1
 
 
 def square_tables():
@@ -297,21 +371,29 @@ class TestAgainstTheEarlierBodies:
             assert got.dtype == want.dtype and np.shape(got) == np.shape(want), label
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), label
 
-    def test_validate_unary(self):
-        errors = set()
-        for label, U, n in unary_tables():
-            want = outcome(validate_unary_reference, U, n)
-            assert_same(outcome(validate_unary, U, n), want, label)
+    @staticmethod
+    def check_validator(validate, reference, tables):
+        # The one-test acceptance takes exactly the tables the full checks take,
+        # a refusal keeps its message, and the input is never written.
+        errors, edges = set(), {}
+        for label, table, n in tables:
+            before = np.asarray(table).tobytes()
+            want = outcome(reference, table, n)
+            assert_same(outcome(validate, table, n), want, label)
+            assert np.asarray(table).tobytes() == before, label
             errors.add(want[1] if want[0] == "error" else None)
+            if label.startswith("sum "):
+                edges[label] = want[0]
+        assert edges and all((kind == "value") == ("inside" in label) for label, kind in edges.items())
+        return errors
+
+    def test_validate_unary(self):
+        errors = self.check_validator(validate_unary, validate_unary_reference, unary_tables())
         assert {None, "unary matrix must be finite", "unary entries must lie in [0, 1]",
                 "every unary row must sum to 1"} <= errors
 
     def test_validate_pairs(self):
-        errors = set()
-        for label, block, n in pair_blocks():
-            want = outcome(validate_pairs_reference, block, n)
-            assert_same(outcome(validate_pairs, block, n), want, label)
-            errors.add(want[1] if want[0] == "error" else None)
+        errors = self.check_validator(validate_pairs, validate_pairs_reference, pair_blocks())
         assert {None, "binary table must be finite",
                 "every off-diagonal 9-vector must be a distribution"} <= errors
 
@@ -345,3 +427,56 @@ def test_row_softmax_leaves_its_input_unchanged():
     out = row_softmax(x)
     assert x.tobytes() == before
     assert not np.shares_memory(out, x)
+
+
+def ball_tables(shape):
+    """Seeded ``(label, -ln U, -ln block)`` for ``_batch_costs``: random, all-tie and clamped tables."""
+    rng = np.random.default_rng([98, shape.n])
+    n, m = shape.n, shape.n * (shape.n - 1)
+    yield "random", neg_log(row_softmax(rng.standard_normal((n, n)) * 3.0)), \
+        neg_log(row_softmax(rng.standard_normal((m, NUM_REL_CLASSES)) * 3.0))
+    yield "uniform", neg_log(np.full((n, n), 1.0 / n)), neg_log(np.full((m, NUM_REL_CLASSES), 1 / 9))
+    one_hot = np.zeros((m, NUM_REL_CLASSES))
+    one_hot[np.arange(m), rng.integers(0, NUM_REL_CLASSES, m)] = 1.0
+    yield "clamped", neg_log(np.eye(n)), neg_log(one_hot)
+
+
+class TestBatchCosts:
+    """``_batch_costs`` against its chunk loop: one gather where the ball fits one chunk, same bytes."""
+
+    @staticmethod
+    def check(shape, radius, cap=None, chunk_rows=(None,)):
+        # Against the loop at its own gather budget, and at budgets that cut chunks of ``chunk_rows`` rows.
+        ball = search._ball_index(shape.n, radius, cap)
+        rows, m = ball.pairs.shape
+        rng = np.random.default_rng([99, shape.n, radius])
+        for label, logu, logv in ball_tables(shape):
+            for center in (np.arange(shape.n), random_permutation(shape.n, rng)):
+                got = search._batch_costs(logu, logv, shape, center, ball)
+                for step in chunk_rows:
+                    budget = None if step is None else 16 * rows + 8 * step * m
+                    want = batch_costs_reference(logu, logv, shape, center, ball, budget)
+                    assert_same(("value", got), ("value", want), (label, center.tolist(), step))
+        return ball
+
+    @pytest.mark.parametrize("spec", ["2x2", "3x3"])
+    def test_one_chunk_ball_matches_every_chunking(self, spec):
+        shape = GridShape.parse(spec)
+        ball = self.check(shape, 3, chunk_rows=(None, 2, 3, 7))
+        rows, m = ball.pairs.shape
+        assert rows <= (search._GATHER_BYTES - 16 * rows) // (8 * m)  # one gather, no loop
+
+    def test_ball_of_several_chunks(self):
+        shape = GridShape.parse("5x5")
+        ball = self.check(shape, 3)
+        assert 8 * len(ball.pairs) * ball.pairs.shape[1] > 2 * search._GATHER_BYTES
+
+    def test_small_gather_chunks(self, monkeypatch):
+        # A gather budget of a few rows makes a 3x3 ball take the chunk loop.
+        monkeypatch.setattr(search, "_GATHER_BYTES", 8 * 5 * 72 + 16 * 205)
+        self.check(GridShape.parse("3x3"), 3)
+
+    @pytest.mark.parametrize("spec", ["2x2", "3x3", "3x2"])
+    def test_one_row_ball(self, spec):
+        ball = self.check(GridShape.parse(spec), 3, cap=1)
+        assert len(ball.table) == 1

@@ -143,6 +143,33 @@ class TestDescriptorExactness:
             got, want = scorer._descriptors(case), array_split_descriptors(case)
             assert got.tobytes() == want.tobytes(), (case.shape, case.strides)
 
+    @pytest.mark.parametrize("tile", [(64, 64), (8, 8, 8)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_divisible_one_channel_stacks(self, tile, dtype):
+        # Extents the pooling grid divides are pooled in one run per axis, with
+        # no empty run joined to it; 64x64x1 is the benchmark's tile.
+        rng = np.random.default_rng([82, *tile])
+        stack = (rng.standard_normal((4, *tile, 1)) * 10.0 ** rng.uniform(-5, 5)).astype(dtype)
+        stack[rng.random(stack.shape) < 0.05] = -0.0
+        stack[3, ..., :2, :] = -0.0
+        cases = [stack, stack[:, ::-1], stack[..., ::-1, :], np.swapaxes(stack, 1, 2), stack[::-1, ::-1]]
+        for case in cases:
+            got, want = scorer._descriptors(case), array_split_descriptors(case)
+            assert got.tobytes() == want.tobytes(), (case.shape, case.strides)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tile", [(64, 64, 1), (8, 8, 8, 1), (21, 19, 3)])
+    def test_float32_stack_with_a_non_finite_value_is_refused(self, bad, tile):
+        # A float32 stack is checked as stored, before its float64 copy.
+        stack = np.ones((3, *tile), dtype=np.float32)
+        stack[(2,) + tuple(e // 2 for e in tile)] = bad
+        for case in (stack, stack[:, ::-1], np.swapaxes(stack, 1, 2)):
+            for describe in (scorer._descriptors, array_split_descriptors):
+                with pytest.raises(ValueError, match="^patch values must be finite$"):
+                    describe(case)
+        edge = np.full((2, *tile), np.finfo(np.float32).max, dtype=np.float32)
+        assert np.isfinite(scorer._descriptors(edge[:, ::-1])).all()
+
 
 class TestDescriptorKernel:
     """``scorer._descriptors`` over a stack against the per-tile reference, byte for byte."""
