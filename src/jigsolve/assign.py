@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cost import neg_log, validate_unary
+from .cost import NEG_LOG_BOUND, neg_log, validate_unary
 
 TIE_TOL = 1e-12
 _SWEEP_BYTES = 64 << 10  # a Bellman-Ford sweep's temporary, as ``search.round_bytes`` counts it
@@ -109,21 +110,30 @@ def _near_moves(m: np.ndarray, sigma: np.ndarray, tol: float) -> np.ndarray:
     return red <= tol + 1e-9 * n * scale - low
 
 
-def _certified(m: np.ndarray, sigma: np.ndarray, tol: float) -> bool:
-    """Whether ``sigma`` is the only assignment the tie pass's float test can accept."""
-    # Raise each of sigma's n entries by delta = tol + 1e-9 n (1 + max|m|),
-    # the margin above with no duals in the scale, and solve again.  An
-    # assignment p that differs from sigma in d >= 2 slots keeps n - d of the
-    # raised entries, so if sigma stays optimal, cost(p) >= opt + d delta -
-    # (LSAP rounding) >= opt + 2 delta - (LSAP rounding).  The tie pass
-    # accepts only p with cost(p) <= opt + tol up to under 25 n**2 eps
-    # (1 + max|m|), and 2 delta - tol exceeds that by the same 1e-9 n margin.
-    # So the tie pass would return sigma, with the cost opt.  A table whose
-    # raised entries could overflow (max|m| + delta is not finite), or a
-    # solver error, leaves sigma uncertified; the raised copy is freed on
+def _certified(m: np.ndarray, sigma: np.ndarray, tol: float, bound: Optional[float] = None) -> bool:
+    """Whether ``sigma`` is the only assignment the tie pass's float test can accept.
+
+    ``bound`` is an upper bound on ``max|m|`` that the caller knows, such as
+    ``NEG_LOG_BOUND`` for a ``-ln`` table of checked probabilities; without it
+    the scale is read off ``m`` with two full-table reductions.
+    """
+    # Raise each of sigma's n entries by delta = tol + 1e-9 n (1 + top), with
+    # top = bound >= max|m| (or max|m| itself), the margin above with no duals in
+    # the scale, and solve again.  An assignment p that differs from sigma in
+    # d >= 2 slots keeps n - d of the raised entries, so if sigma stays optimal,
+    # cost(p) >= opt + d delta - (LSAP rounding) >= opt + 2 delta - (LSAP
+    # rounding).  The tie pass accepts only p with cost(p) <= opt + tol up to
+    # under 25 n**2 eps (1 + max|m|), and 2 delta - tol exceeds that by at least
+    # the same 1e-9 n margin, as top >= max|m|.  So the tie pass would return
+    # sigma, with the cost opt.  A larger top only widens delta, which can turn
+    # a certification into that same tie pass, never into another answer.  A
+    # table whose raised entries could overflow (top + delta is not finite),
+    # or a solver error, leaves sigma uncertified; the raised copy is freed on
     # return, before any tie pass runs.
     n = len(sigma)
-    top = float(max(np.maximum.reduce(m, axis=None), -np.minimum.reduce(m, axis=None)))
+    if bound is None:
+        bound = max(np.maximum.reduce(m, axis=None), -np.minimum.reduce(m, axis=None))
+    top = float(bound)
     delta = tol + 1e-9 * n * (1.0 + top)
     if not math.isfinite(top + delta):
         return False
@@ -189,17 +199,19 @@ def _tie_pass(m: np.ndarray, sigma: np.ndarray, opt: float, tol: float) -> Assig
     return AssignmentResult(config=assign, cost=float(m[np.arange(n), assign].sum()))
 
 
-def _tie_ruled(m: np.ndarray) -> AssignmentResult:
+def _tie_ruled(m: np.ndarray, bound: Optional[float] = None) -> AssignmentResult:
     """``min_cost_assignment`` of a square, finite float64 matrix, which it does not check.
 
-    The solver entries reach it with tables they have checked once.
+    The solver entries reach it with tables they have checked once, and pass
+    ``NEG_LOG_BOUND`` as ``bound`` for the ``-ln`` tables they build, so the
+    certificate reads no scale off the table (see ``_certified``).
     """
     n = m.shape[0]
     if n < 1:
         raise ValueError("cost matrix must be at least 1x1")
     sigma, opt = _solve(m)
     tol = TIE_TOL * max(1.0, abs(opt))
-    if sigma.tolist() == list(range(n)) or _certified(m, sigma, tol):
+    if sigma.tolist() == list(range(n)) or _certified(m, sigma, tol, bound):
         return AssignmentResult(config=sigma.astype(np.int64), cost=opt)
     return _tie_pass(m, sigma, opt, tol)
 
@@ -220,4 +232,4 @@ def unary_argmin(U) -> AssignmentResult:
     Matches on the ``-ln`` entries, so the reported cost is the unary part of
     the total configuration cost.
     """
-    return _tie_ruled(neg_log(validate_unary(U)))
+    return _tie_ruled(neg_log(validate_unary(U)), NEG_LOG_BOUND)

@@ -469,6 +469,49 @@ def cmd_selftest(args) -> int:
                 for name, ok in got.items():
                     assert ok == rule, f"{name} {'accepts' if ok else 'refuses'} a {table.shape} table it must not"
 
+    def reference_oracle(oracle, truth, shape):
+        # Each table alone, as the oracle scored it before its one pass: the mixture, then, when
+        # jittered, its clamped log, its own normal draw, the row max, exp and the row sum.
+        def table(rows, cols, hot, e):
+            base = np.full((rows, cols), e / cols)
+            base[np.arange(rows), hot] = e / cols + (1.0 - e)
+            amp = oracle.jitter * e * (1.0 - e)
+            if oracle.rng is None or amp == 0.0:
+                return base
+            z = np.log(np.maximum(base, 1e-300)) + amp * oracle.rng.standard_normal(base.shape)
+            z = np.exp(z - z.max(axis=-1, keepdims=True))
+            return z / z.sum(axis=-1, keepdims=True)
+
+        t, n = np.asarray(truth), shape.n
+        U = table(n, n, t, oracle.noise)
+        if shape.is_3d:
+            return U, None
+        p, q = grid.ordered_pairs(n)
+        binary = oracle.noise if oracle.binary_noise is None else oracle.binary_noise
+        return U, table(len(p), grid.NUM_REL_CLASSES, grid.relation_table(shape)[t[p], t[q]], binary)
+
+    def oracle_one_pass():
+        # The oracle fills U and the pair block as views of one buffer, starting from the
+        # logs of the mixture's two values, draws every table's normals at once and runs one
+        # exp over them.  That holds only while one normal draw equals consecutive draws and
+        # log and exp give a value the same bytes wherever it sits: its tables and the RNG
+        # state after them must equal each table's own pass.
+        for spec in ("2x2", "3x3", "3x2", "2x2x2", "3x3x3"):
+            shape = GridShape.parse(spec)
+            truth = grid.random_permutation(shape.n, rng)
+            for eps, binary in ((0.5, None), (0.3, 0.0), (0.0, 0.3), (0.2, 0.7), (1e-300, 0.5), (1.0, None)):
+                for jitter in (8.0, -2.5, 0.0):
+                    seed = int(rng.integers(2**32))
+                    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = OracleScorer(eps, rngs[0], binary, jitter).score(truth, shape)
+                    want = reference_oracle(OracleScorer(eps, rngs[1], binary, jitter), truth, shape)
+                    for name, a, b in zip(("U", "pair block"), got, want):
+                        assert (a is None) == (b is None), f"{spec}: {name} present on one side only"
+                        assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes()), \
+                            f"{spec} eps={eps} binary={binary} jitter={jitter}: {name} differs from the reference"
+                    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state, \
+                        f"{spec} eps={eps} binary={binary} jitter={jitter}: the draws differ from the reference"
+
     check("assignment optimality vs brute force (n<=5, tol 1e-12)",
           lambda: assignment_optimality(lambda n: rng.random((n, n))))
     check("tie rule on integer {0,1,2} matrices vs brute force (n<=5, exact)",
@@ -480,6 +523,8 @@ def cmd_selftest(args) -> int:
           descriptor_bytes)
     check("table validators' one-test acceptance vs the full checks on seeded edge tables (exact)",
           table_acceptance)
+    check("oracle tables in one pass vs each table's own pass (2D and 3D, same bytes and draws)",
+          oracle_one_pass)
 
     failed = [c for c in checks if not c[1]]
     for name, ok, msg in checks:

@@ -28,6 +28,9 @@ import numpy as np
 from .grid import NUM_REL_CLASSES, GridShape, as_permutation, ordered_pairs, relation_table
 
 PROB_FLOOR = 1e-12
+# Above every |entry| of neg_log on checked probabilities: -ln(PROB_FLOOR) ~ 27.63 at most, and above
+# -ln(1 + ROW_SUM_TOL) ~ -1e-9 at least.
+NEG_LOG_BOUND = 28.0
 ROW_SUM_TOL = 1e-9
 
 

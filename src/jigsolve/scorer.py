@@ -29,6 +29,7 @@ from .cost import neg_log, pair_table, row_softmax
 from .grid import NUM_REL_CLASSES, GridShape, ordered_pairs, relation_table
 from .puzzlegen import FormatError, PuzzleInstance, header_bytes, read_floats, read_header
 from . import search
+from .assign import _row_starts
 from .search import SolverOptions
 
 MODEL_MAGIC = b"JSW1"
@@ -174,9 +175,19 @@ def _check_oracle(noise: float, binary_noise: Optional[float], jitter: float) ->
         raise ValueError(f"oracle jitter must be finite, got {jitter}")
 
 
-@dataclass
+@lru_cache(maxsize=64)
+def _mixture_logs(low: float, high: float) -> tuple[float, float]:
+    # ln of a mixture table's two values, each clamped at 1e-300: the jitter's elementwise log pass, done once.
+    return tuple(np.log(np.maximum(np.array([low, high]), 1e-300)).tolist())
+
+
+@dataclass(frozen=True)
 class OracleScorer:
-    """Test instrument: emits truth-derived tables at a chosen noise level."""
+    """Test instrument: emits truth-derived tables at a chosen noise level.
+
+    Frozen: ``__post_init__`` checks the fields, so a scorer scores only
+    tables it has checked; ``dataclasses.replace`` makes a checked copy.
+    """
 
     noise: float
     rng: Optional[np.random.Generator] = None
@@ -196,37 +207,60 @@ class OracleScorer:
         """U and V's pair block (None on 3D grids), mixing the truth's one-hots with uniform mass.
 
         With ``rng`` given and 0 < eps < 1, each table draws a logit jitter of amplitude
-        ``jitter*eps*(1-eps)``, U's first.
+        ``jitter*eps*(1-eps)``, U's first.  Both tables are views of one buffer, filled in
+        one pass: a jittered table starts as the logs of its two values (cached per pair of
+        values), the normals of every jittered table are one draw, and one ``exp`` runs over
+        them; only the row max and the row sum are per table.  The bytes and the draws are
+        those of jittering each table alone: elementwise ``log`` and ``exp`` do not depend on
+        where a value sits, and one normal draw equals consecutive ones (``jigsolve selftest``
+        checks both).  A table without jitter holds the plain mixture and draws nothing.
         """
         eps = self.noise
         binary_eps = eps if self.binary_noise is None else self.binary_noise
         t = np.asarray(rows, dtype=np.int64)
         n = shape.n
-
-        def noisy(base: np.ndarray, e: float) -> np.ndarray:
-            # Jitters the fresh ``base`` in place.
-            amp = self.jitter * e * (1.0 - e)
-            if self.rng is None or amp == 0.0:
-                return base
-            z = np.log(np.maximum(base, 1e-300, out=base), out=base)
-            noise = self.rng.standard_normal(base.shape)
-            noise *= amp
+        m = 0 if shape.is_3d else n * (n - 1)
+        buf = np.empty(n * n + m * NUM_REL_CLASSES)
+        unary, pairs = buf[: n * n], buf[n * n :]
+        amps = [self._mix(unary, t + _row_starts(n), eps, eps / n)]
+        tables = [unary.reshape(n, n)]
+        if m:
+            p, q = ordered_pairs(n)
+            hot = relation_table(shape)[t[p], t[q]] + np.arange(0, pairs.size, NUM_REL_CLASSES)
+            amps.append(self._mix(pairs, hot, binary_eps, binary_eps / NUM_REL_CLASSES))
+            del hot  # a pair-sized index, not held through the draw
+            tables.append(pairs.reshape(m, NUM_REL_CLASSES))
+        jittered = [(table, amp) for table, amp in zip(tables, amps) if amp]
+        if jittered:
+            # One draw over the jittered tables, which are adjacent: U's normals first, then the block's.
+            z = buf if len(jittered) == len(tables) else (unary if amps[0] else pairs)
+            noise = self.rng.standard_normal(z.size)
+            if len(jittered) == 2 and amps[0] != amps[1]:
+                noise[: n * n] *= amps[0]
+                noise[n * n :] *= amps[1]
+            else:
+                noise *= jittered[0][1]
             z += noise
-            z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+            for table, _ in jittered:
+                table -= np.maximum.reduce(table, axis=-1, keepdims=True)
             np.exp(z, out=z)
-            z /= np.add.reduce(z, axis=-1, keepdims=True)
-            return z
+            for table, _ in jittered:
+                table /= np.add.reduce(table, axis=-1, keepdims=True)
+        return tables[0], tables[1] if m else None
 
-        U = np.full((n, n), eps / n)
-        U[np.arange(n), t] = eps / n + (1.0 - eps)
-        U = noisy(U, eps)
-        if shape.is_3d:
-            return U, None
-        p, q = ordered_pairs(n)
-        fill = binary_eps / NUM_REL_CLASSES
-        block = np.full((len(p), NUM_REL_CLASSES), fill)
-        block[np.arange(len(p)), relation_table(shape)[t[p], t[q]]] = fill + (1.0 - binary_eps)
-        return U, noisy(block, binary_eps)
+    def _mix(self, flat: np.ndarray, hot: np.ndarray, e: float, low: float) -> float:
+        # Fills ``flat`` with one table of the mixture: ``low`` everywhere and ``low + 1 - e``
+        # at the truth's flat indices ``hot``.  A table to be jittered holds their logs
+        # instead; returns its jitter amplitude, or 0.0 for a plain table.
+        high = low + (1.0 - e)
+        amp = self.jitter * e * (1.0 - e)
+        if self.rng is None or amp == 0.0:
+            amp = 0.0
+        else:
+            low, high = _mixture_logs(low, high)
+        flat.fill(low)
+        flat.put(hot, high)
+        return amp
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,12 @@ from typing import Iterator, NamedTuple, Optional, Protocol, TYPE_CHECKING
 import numpy as np
 
 from .assign import _tie_ruled
-from .cost import CostBreakdown, neg_log, validate_binary, validate_pairs, validate_unary
+from .cost import NEG_LOG_BOUND, CostBreakdown, neg_log, validate_binary, validate_pairs, validate_unary
 from .grid import (
     NUM_REL_CLASSES,
     GridShape,
     _ball_table,
     as_permutation,
-    hamming,
     hamming_ball_size,
     is_identity,
     ordered_pairs,
@@ -277,7 +276,7 @@ def predict(U, V, shape: GridShape, opts: SolverOptions) -> tuple[np.ndarray, Co
     """
     pairs = opts.use_binary and V is not None and not shape.is_3d
     logu, logv = _neg_logs(U, V if pairs else None, shape)
-    seed = _tie_ruled(logu)
+    seed = _tie_ruled(logu, NEG_LOG_BOUND)
     if logv is None:
         return seed.config, CostBreakdown(seed.cost, 0.0)
     return _refine(logu, logv, seed.config, shape, opts)
@@ -333,7 +332,8 @@ def solve_iterative(provider: ScoreProvider, puzzle: "PuzzleInstance", opts: Sol
     records: list[RoundRecord] = []
     rows = _provider_call(1, provider.rows, puzzle)
     for _, truth, _, _, pred, cost in rounds(provider, rows, puzzle.truth, puzzle.shape, opts):
-        records.append(RoundRecord(prediction=pred, cost=cost, hamming_to_truth=hamming(pred, truth)))
+        distance = int(np.count_nonzero(pred != truth))  # grid.hamming's count, without its checks
+        records.append(RoundRecord(prediction=pred, cost=cost, hamming_to_truth=distance))
     # Apply the last round's move (none when it proposed the identity).
     truth = truth[np.argsort(pred)]
     return SolveTrace(

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from jigsolve import assign, search
 from jigsolve.assign import TIE_TOL, min_cost_assignment, unary_argmin
 from jigsolve.cli import EXIT_OK, main
-from jigsolve.cost import neg_log, row_softmax, unary_cost
+from jigsolve.cost import NEG_LOG_BOUND, PROB_FLOOR, neg_log, row_softmax, unary_cost
 
 U_2X2 = np.array([[0.9, 0.1], [0.2, 0.8]])
 
@@ -241,11 +241,40 @@ class TestCertificate:
             assert got.cost == want.cost == opt
 
 
+    def test_neg_log_bound_gives_the_computed_scales_answer(self):
+        # predict and unary_argmin pass NEG_LOG_BOUND instead of reading max|m| off
+        # their -ln tables.  The wider margin may only trade a certification for
+        # the tie pass, which returns the same configuration and cost.
+        rng = np.random.default_rng(24)
+        tables = []
+        for n in (1, 2, 3, 4, 5, 8, 9, 16, 27):
+            for scale in (0.5, 3.0, 30.0):
+                tables.append(neg_log(row_softmax(rng.standard_normal((n, n)) * scale)))
+            tables.append(neg_log(np.full((n, n), 1.0 / n)))  # every assignment ties
+            one_hot = np.zeros((n, n))
+            one_hot[np.arange(n), rng.permutation(n)] = 1.0
+            tables.append(neg_log(one_hot))  # entries at -ln PROB_FLOOR
+            tied = row_softmax(rng.standard_normal((n, n)))
+            tied[-1] = tied[0]
+            tables.append(neg_log(tied))
+        paths = set()
+        for m in tables:
+            assert np.abs(m).max() < NEG_LOG_BOUND
+            got, want = assign._tie_ruled(m, NEG_LOG_BOUND), assign._tie_ruled(m)
+            assert got.config.dtype == want.config.dtype and got.config.tobytes() == want.config.tobytes()
+            assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
+            sigma, opt = assign._solve(m)
+            if sigma.tolist() != list(range(len(m))):
+                paths.add(assign._certified(m, sigma, TIE_TOL * max(1.0, abs(opt)), NEG_LOG_BOUND))
+        assert paths == {True, False}
+        assert -np.log(PROB_FLOOR) < NEG_LOG_BOUND
+
+
 def _seed_tables(monkeypatch, *runs):
     """The tables the solver seeds from over CLI runs, and those that ran the tie pass."""
     tables, fallbacks = [], []
     tie_ruled, tie_pass_ = assign._tie_ruled, assign._tie_pass
-    monkeypatch.setattr(search, "_tie_ruled", lambda m: tables.append(m) or tie_ruled(m))
+    monkeypatch.setattr(search, "_tie_ruled", lambda m, *args: tables.append(m) or tie_ruled(m, *args))
     monkeypatch.setattr(assign, "_tie_pass", lambda m, *args: fallbacks.append(m) or tie_pass_(m, *args))
     for argv in runs:
         assert main(argv) == EXIT_OK

@@ -735,6 +735,41 @@ class TestSelftest:
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(failed) == 1 and "one-test acceptance" in failed[0] and "accepts" in failed[0]
 
+    def test_position_dependent_logs_fail_the_oracle_check(self, monkeypatch, capsys):
+        # The oracle's one pass writes each mixture value's log, taken once; a numpy
+        # whose log of a value depended on where it sits would break the bytes.
+        logs = scorer._mixture_logs
+
+        def shifted(low, high):
+            a, b = logs(low, high)
+            return a, float(np.nextafter(b, 0.0))
+
+        monkeypatch.setattr(scorer, "_mixture_logs", shifted)
+        assert main(["selftest"]) == EXIT_SELFTEST
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "oracle tables in one pass" in failed[0] and "differs" in failed[0]
+
+    def test_a_split_normal_draw_fails_the_oracle_check(self, monkeypatch, capsys):
+        # One draw for every jittered table must equal a draw per table.
+        class SplitDraw:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                return self.rng.standard_normal(size)[::-1].copy()
+
+        real = scorer.OracleScorer.score
+
+        def score(self, rows, shape):
+            return real(scorer.replace(self, rng=SplitDraw(self.rng)) if self.rng else self, rows, shape)
+
+        monkeypatch.setattr(scorer.OracleScorer, "score", score)
+        assert main(["selftest"]) == EXIT_SELFTEST
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "oracle tables in one pass" in failed[0]
+
 
 class TestHelp:
     def test_all_subcommands_have_help(self, capsys):

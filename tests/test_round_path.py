@@ -421,6 +421,46 @@ class TestAgainstTheEarlierBodies:
                     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
+class ReferenceOracle:
+    """``oracle_score_reference`` as a score provider."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def rows(self, puzzle):
+        return self.oracle.rows(puzzle)
+
+    def score(self, rows, shape):
+        return oracle_score_reference(self.oracle, rows, shape)
+
+
+class TestOracleOnePass:
+    """Whole solves on the one-pass oracle against the per-table reference body."""
+
+    @pytest.mark.parametrize("spec", ["2x2", "3x3", "2x3", "2x2x2"])
+    @pytest.mark.parametrize("binary", [None, 0.0, 1.0, 0.3])
+    def test_rounds_match_the_reference(self, spec, binary):
+        shape = GridShape.parse(spec)
+        opts = search.SolverOptions(radius=3, max_rounds=8)
+        for index, (eps, seed, jitter) in enumerate(((0.5, 7, 8.0), (0.3, 8, 8.0), (0.7, 9, 2.5),
+                                                     (1.0, 11, 8.0), (0.5, 12, 0.0), (0.5, None, 8.0))):
+            rngs = [None if seed is None else np.random.default_rng(seed) for _ in range(2)]
+            truth = random_permutation(shape.n, np.random.default_rng([100, shape.n, index]))
+            oracles = [OracleScorer(eps, rng, binary, jitter) for rng in rngs]
+            runs = [list(search.rounds(provider, truth, truth, shape, opts))
+                    for provider in (oracles[0], ReferenceOracle(oracles[1]))]
+            assert len(runs[0]) == len(runs[1]) >= 1
+            for got, want in zip(*runs):
+                label = (eps, seed, jitter)
+                for a, b in zip(got[2:4], want[2:4]):  # U and the pair block
+                    assert_same(("value", a), ("value", b), label)
+                assert_same(("value", got[4]), ("value", want[4]), label)  # the prediction
+                parts = [(cost.unary, cost.binary) for cost in (got[5], want[5])]
+                assert_same(("value", parts[0]), ("value", parts[1]), label)  # its cost parts
+            if seed is not None:
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_row_softmax_leaves_its_input_unchanged():
     x = np.random.default_rng(97).standard_normal((9, 9)) * 4.0
     before = x.tobytes()

@@ -1,5 +1,6 @@
 """Oracle and linear score providers, training, and model serialization."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -407,6 +408,37 @@ class TestOracleScore:
     def test_scorer_rejects_bad_fields_when_built(self, fields):
         with pytest.raises(ValueError):
             OracleScorer(**fields)
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise", 2.0), ("noise", 0.1), ("binary_noise", math.nan), ("binary_noise", 0.9),
+        ("jitter", math.inf), ("jitter", 0.0), ("rng", None),
+    ])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        # A checked scorer keeps the fields it was checked with: a reassignment is
+        # refused, and the scorer goes on giving the tables of a fresh one, whose
+        # mixture logs are cached by value.  A changed copy is checked again.
+        truth = random_permutation(9, np.random.default_rng(61))
+        rngs = [np.random.default_rng(62) for _ in range(2)]
+        used = OracleScorer(0.5, rngs[0], 0.3)
+        used.score(truth, S3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(used, field, value)
+        fresh = OracleScorer(0.5, rngs[1], 0.3)
+        fresh.score(truth, S3)
+        for a, b in zip(used.score(truth, S3), fresh.score(truth, S3)):
+            assert a.tobytes() == b.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        try:
+            dataclasses.replace(used, **{field: value})
+        except ValueError:
+            return  # an unchecked value never reaches a table
+        # A valid copy scores as a scorer built with its fields, not with the old fields' logs.
+        twins = [np.random.default_rng(63) for _ in range(2)]
+        kwargs = [{"noise": 0.5, "rng": twin, "binary_noise": 0.3, field: value} for twin in twins]
+        copy = dataclasses.replace(used, **kwargs[0])
+        for a, b in zip(copy.score(truth, S3), OracleScorer(**kwargs[1]).score(truth, S3)):
+            assert a.tobytes() == b.tobytes()
+        assert twins[0].bit_generator.state == twins[1].bit_generator.state
 
 
 class TestLinearScore:

@@ -217,6 +217,25 @@ class TestBallKernel:
             tracemalloc.stop()
         assert peak <= search.round_bytes(shape, opts) + held
 
+    @pytest.mark.parametrize("spec", ["6x6", "8x8"])
+    def test_a_2d_oracle_round_stays_within_round_bytes(self, spec):
+        # The oracle scores U and the pair block in one buffer and draws their
+        # normals at once; with a cold predict the round still fits its count.
+        shape = GridShape.parse(spec)
+        opts = SolverOptions(radius=2)
+        grid._ball_table.cache_clear()
+        search._ball_index.cache_clear()
+        rng = np.random.default_rng(54)
+        truth = random_permutation(shape.n, rng)
+        tracemalloc.start()
+        try:
+            U, block = OracleScorer(0.2, rng).score(truth, shape)
+            predict(U, block, shape, opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= search.round_bytes(shape, opts)
+
     def test_round_bytes_bounds_both_3d_seed_paths(self, monkeypatch):
         # One 8x8x8 round, scoring and predict: the certified seed holds U, -ln U
         # and the raised copy (3.0 U); the tie pass U, -ln U, its reduced costs
